@@ -8,8 +8,8 @@ version, the tolerances and sha256 checksums is written next to the outputs,
 so a run can be reproduced and diffed.
 
 A `--config key=value` file may seed any long flag; explicit flags override.
-TFSE_THREADS caps the worker pool used to fan independent grid cells out
-(default 1, which is also the bit-reproducible mode).
+Grid cells are evaluated one after another, in grid order, so a rerun with
+the same flags writes byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.
@@ -21,9 +21,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +75,6 @@ def _parse_packet(text: str):
         return ("gaussian", float(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _thread_count(n_items: int) -> int:
-    cap = int(os.environ.get("TFSE_THREADS", "1"))
-    return max(1, min(cap, n_items))
-
-
-def _fan_out(func, items):
-    """Map func over items, in order, on at most TFSE_THREADS workers."""
-    workers = _thread_count(len(items))
-    if workers == 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _write_csv(path: Path, header: list[str], rows, comments=()) -> None:
@@ -148,16 +132,13 @@ def _expand_config(argv: list[str]) -> list[str]:
 def cmd_ml(args) -> int:
     order = FractionalOrder(args.nu)
     sign = Sign.PLUS_I if args.sign == "plus" else Sign.MINUS_I
-    times = args.t_grid
-
-    def cell(t):
+    rows = []
+    for t in args.t_grid:
         d = ml_complex_decomposed(args.sigma, sign, order, float(t),
                                   tol=args.tol)
-        return (float(t), d.total.real, d.total.imag,
-                d.oscillatory.real, d.oscillatory.imag,
-                d.decay.real, d.decay.imag)
-
-    rows = _fan_out(cell, list(times))
+        rows.append((float(t), d.total.real, d.total.imag,
+                     d.oscillatory.real, d.oscillatory.imag,
+                     d.decay.real, d.decay.imag))
     header = ["t", "re_total", "im_total", "re_osc", "im_osc",
               "re_decay", "im_decay"]
     outdir = Path(args.outdir)
@@ -182,7 +163,7 @@ def cmd_well(args) -> int:
     order = FractionalOrder(args.nu)
     if order.regime is not Regime.SUB_UNIT:
         raise TfseError("well evolution covers orders in (0, 1]")
-    cfg = dynamics.RunConfig(order, n_m=args.nm, n_v=args.nv)
+    cfg = dynamics.RunConfig(order, n_m=args.nm)
     mode = dynamics.well_mode(args.n, args.a, cfg)
     times = args.t_grid
     outdir = Path(args.outdir)
@@ -192,35 +173,33 @@ def cmd_well(args) -> int:
             f"lambda_n={mode.lambda_n:.12g}")
 
     if args.emit == "amplitude":
-        rows = _fan_out(
-            lambda t: (float(t),) + _reim(
-                dynamics.well_amplitude(mode, cfg, float(t), args.tol)),
-            list(times))
+        rows = [(float(t),) + _reim(
+                    dynamics.well_amplitude(mode, cfg, float(t), args.tol))
+                for t in times]
         path = outdir / "well_amplitude.csv"
         _write_csv(path, ["t", "re_a", "im_a"], rows, comments=[meta])
         outputs.append(path)
     elif args.emit == "probability":
-        rows = _fan_out(
-            lambda t: (float(t),
-                       abs(dynamics.well_amplitude(mode, cfg, float(t),
-                                                   args.tol)) ** 2),
-            list(times))
+        rows = [(float(t),
+                 abs(dynamics.well_amplitude(mode, cfg, float(t),
+                                             args.tol)) ** 2)
+                for t in times]
         path = outdir / "well_probability.csv"
         _write_csv(path, ["t", "probability"], rows,
                    comments=[meta, f"limit={1.0 / args.nu ** 2:.12g}"])
         outputs.append(path)
     elif args.emit == "energy":
         limit = dynamics.energy_level_limit(mode, cfg)
-        rows = _fan_out(
-            lambda t: (float(t),) + _reim(
-                dynamics.energy_level(mode, cfg, float(t), args.tol)),
-            list(times))
+        rows = [(float(t),) + _reim(
+                    dynamics.energy_level(mode, cfg, float(t), args.tol))
+                for t in times]
         path = outdir / "well_energy.csv"
         _write_csv(path, ["t", "re_e", "im_e"], rows,
                    comments=[meta, f"limit={limit:.12g}"])
         outputs.append(path)
     else:  # continuity
-        dpdt, int_s = dynamics.well_continuity_series(mode, cfg, times)
+        dpdt, int_s = dynamics.well_continuity_series(mode, cfg, times,
+                                                      tol=args.tol)
         rows = list(zip(times, dpdt.values, int_s.values))
         path = outdir / "well_continuity.csv"
         _write_csv(path, ["t", "dpdt", "integrated_source"], rows,
@@ -260,7 +239,7 @@ def cmd_free(args) -> int:
         evolve = lambda t: dynamics.free_spectrum_evolve(
             packet0, cfg, float(t), args.tol)
 
-    packets = _fan_out(evolve, list(args.t_grid))
+    packets = [evolve(t) for t in args.t_grid]
     prob_rows = []
     for k, (t, pk) in enumerate(zip(args.t_grid, packets)):
         psi, psi_s, psi_d = dynamics.free_field(pk, positions)
@@ -360,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_well.add_argument("--n", type=int, default=1)
     p_well.add_argument("--a", type=float, default=math.pi)
     p_well.add_argument("--nm", type=float, default=0.5)
-    p_well.add_argument("--nv", type=float, default=0.0)
     p_well.add_argument("--t-grid", type=_parse_grid, required=True,
                         metavar="START:STOP:COUNT")
     p_well.add_argument("--emit", required=True,

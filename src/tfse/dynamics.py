@@ -7,7 +7,7 @@ non-conservation source, weighted energy averages, time-dependent energy
 levels and the recast first-order-in-time residual.
 
 Units are Planck-normalized throughout: T_p = L_p = hbar = 1, so the only
-physical inputs are the mass and potential counts N_m, N_v and the order nu.
+physical inputs are the mass count N_m and the order nu.
 Transform convention: forward F(psi) = integral exp(-i lambda x) psi dx, the
 inverse carries 1/(2 pi).
 """
@@ -28,22 +28,14 @@ from .specfun import FractionalOrder, Regime, Sign
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Order and Planck-normalized mass/potential counts for one run."""
+    """Order and Planck-normalized mass count for one run."""
 
     nu: FractionalOrder
     n_m: float
-    n_v: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.n_m) and self.n_m > 0):
             raise ValueError("mass count n_m must be positive and finite")
-        if not (math.isfinite(self.n_v) and self.n_v >= 0):
-            raise ValueError("potential count n_v must be nonnegative")
-
-    @property
-    def alpha(self) -> float:
-        """Potential coefficient of the recast equation (T_p = 1)."""
-        return self.n_v
 
     @property
     def beta(self) -> float:
@@ -209,13 +201,6 @@ def free_spectrum_high_order(packet0: SpectralPacket, packet1: SpectralPacket,
     return SpectralPacket(packet0.wavenumbers, out)
 
 
-def _inverse_transform(packet: SpectralPacket, amplitudes: np.ndarray,
-                       positions: np.ndarray) -> np.ndarray:
-    lam = packet.wavenumbers
-    phase = np.exp(1j * np.outer(positions, lam))
-    return phase @ amplitudes * packet.step / (2.0 * math.pi)
-
-
 def default_positions(packet: SpectralPacket) -> np.ndarray:
     """Spatial grid conjugate to the packet's wavenumber grid."""
     n = packet.wavenumbers.size
@@ -239,8 +224,9 @@ def free_field(packet: SpectralPacket, positions: np.ndarray | None = None
     if amp_s is None or amp_d is None:
         amp_s = packet.amplitudes
         amp_d = np.zeros_like(packet.amplitudes)
-    psi_s = _inverse_transform(packet, amp_s, positions)
-    psi_d = _inverse_transform(packet, amp_d, positions)
+    phase = np.exp(1j * np.outer(positions, packet.wavenumbers))
+    psi_s, psi_d = (phase @ amp * packet.step / (2.0 * math.pi)
+                    for amp in (amp_s, amp_d))
     return (GridField(positions, psi_s + psi_d),
             GridField(positions, psi_s),
             GridField(positions, psi_d))
@@ -379,7 +365,6 @@ def energy_level(mode: WellMode, cfg: RunConfig, t: float,
     if nu < 1.0 and t <= 0:
         raise SingularTime("energy level diverges like t**(nu-1) at t = 0")
     root = omega ** (1.0 / nu)
-    osc = np.exp(-1j * root * t) / nu
     a = specfun.ml_complex_decomposed(omega, Sign.MINUS_I, cfg.nu, t, tol)
     rho = omega * cfg.nu.i_pow(Sign.MINUS_I)
     if nu == 1.0:
@@ -387,7 +372,7 @@ def energy_level(mode: WellMode, cfg: RunConfig, t: float,
     else:
         dfdt = specfun.f_nu_time_derivative(
             specfun.DecayKernelSpec(rho, cfg.nu), t, tol)
-    da = -1j * root * osc - dfdt
+    da = -1j * root * a.oscillatory - dfdt
     return complex(1j * np.conj(a.total) * da)
 
 

@@ -17,6 +17,7 @@ Branch conventions (fixed throughout the package): i**nu = exp(i*pi*nu/2),
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .errors import (
     InvalidOrder,
     NonConvergence,
     QuadratureFailure,
+    SingularTime,
 )
 
 DEFAULT_TOL = 1e-10
@@ -83,10 +85,7 @@ class DecayKernelSpec:
     order: FractionalOrder
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho.real if isinstance(self.rho, complex)
-                              else self.rho)
-                and math.isfinite(self.rho.imag if isinstance(self.rho, complex)
-                                  else 0.0)):
+        if not cmath.isfinite(complex(self.rho)):
             raise ValueError(f"rho must be finite, got {self.rho!r}")
 
 
@@ -140,17 +139,18 @@ def ml_series(z: complex, order: FractionalOrder, tol: float = DEFAULT_TOL,
 
 
 def _denominator_roots(rho: complex, nu: float) -> tuple[complex, complex]:
-    # Roots of w**2 - 2*rho*cos(nu*pi)*w + rho**2 in the substituted variable.
+    # Roots of v**2 - 2*rho*cos(nu*pi)*v + rho**2 in v = r**nu.
     return rho * np.exp(1j * math.pi * nu), rho * np.exp(-1j * math.pi * nu)
 
 
-def _check_roots_off_axis(rho: complex, nu: float, margin: float) -> None:
+def _check_roots_off_axis(rho: complex, nu: float) -> None:
     for w in _denominator_roots(rho, nu):
         if abs(w) == 0.0:
             continue
-        if w.real > 0 and abs(w.imag) < margin * abs(w):
+        if w.real > 0 and abs(w.imag) < AXIS_MARGIN * abs(w):
             raise DenominatorSingularity(
-                f"kernel denominator root {w:.6g} lies within {margin:.3g} rad "
+                f"kernel denominator root {w:.6g} lies within "
+                f"{AXIS_MARGIN:.3g} rad "
                 f"of the positive real axis (nu={nu}, rho={rho:.6g})")
 
 
@@ -164,27 +164,90 @@ def _axis_crossings(rho: complex, nu: float) -> int:
 
 def _quad_complex(func, upper, points, epsabs):
     pts = sorted({p for p in points if 0.0 < p < upper})
-    val = 0.0 + 0j
+    vals = []
     err = 0.0
-    for part in (np.real, np.imag):
-        res = quad(lambda w: part(func(w)), 0.0, upper,
-                   points=pts or None, limit=250,
+    for part in (lambda w: func(w).real, lambda w: func(w).imag):
+        res = quad(part, 0.0, upper, points=pts or None, limit=250,
                    epsabs=epsabs, epsrel=1e-13, full_output=1)
-        val += complex(res[0]) * (1.0 if part is np.real else 1j)
+        vals.append(res[0])
         err += res[1]
         if len(res) > 3 and res[1] > 10.0 * epsabs:
             raise QuadratureFailure(res[3])
-    return val, err
+    return complex(*vals), err
 
 
-def f_nu(spec: DecayKernelSpec, t: float, tol: float = DEFAULT_TOL,
-         axis_margin: float = AXIS_MARGIN) -> complex:
+def _cut_integral(rho: complex, nu: float, t: float, p: int,
+                  tol: float) -> complex:
+    """The branch-cut integral behind F, dF/dt and the a1 coefficient.
+
+    Computes (rho*sin(nu*pi)/pi) * integral over r in (0, inf) of
+    (-r)**p exp(-r*t) r**(nu-1) / (r**(2 nu) - 2 rho cos(nu pi) r**nu + rho**2)
+    for p = 0 (F), p = 1 (dF/dt) and p = -1 (the a1 term of the
+    two-initial-condition solution).  The substitution w = r**e,
+    e = nu + min(p, 0), leaves (-1)**p / e times
+    r**max(p, 0) exp(-r*t) / (v**2 - 2 rho cos(nu pi) v + rho**2),
+    v = w**(nu/e) = r**nu, which is bounded at w = 0 for every p.  The range
+    is split where v reaches ten times the pole modulus |rho| (or at w = 1 if
+    that is larger); [0, split] is integrated directly with a breakpoint where
+    v = |rho|, and the tail is mapped to u = 1/w, which keeps the range
+    finite at any t >= 0.
+    """
+    sin_nupi = math.sin(math.pi * nu)
+    if rho == 0 or abs(sin_nupi) < 1e-14:
+        # Integer order: the branch cut carries no weight.
+        return 0.0 + 0j
+    _check_roots_off_axis(rho, nu)
+
+    e = nu + min(p, 0)
+    q = nu / e
+    m = max(p, 0)
+    inv_e = 1.0 / e
+    m2rc = -2.0 * rho * math.cos(math.pi * nu)
+    rho2 = rho * rho
+    tail_pow = 2.0 * q - 2.0
+
+    # A power of w that overflows (1/e is large for nu near 0, and near 1 at
+    # p = -1) means exp(-r*t) or 1/v**2 has long underflowed: the value is 0.
+    def integrand(w):
+        try:
+            r = w ** inv_e
+            v = w ** q
+        except OverflowError:
+            return 0.0
+        return r ** m * math.exp(-r * t) / (v * v + m2rc * v + rho2)
+
+    def tail_integrand(u):
+        if u <= 0.0:
+            return 0.0
+        try:
+            r = u ** -inv_e
+        except OverflowError:
+            return 0.0
+        if r * t > 700.0:
+            return 0.0
+        v = u ** q
+        return (r ** m * math.exp(-r * t) * u ** tail_pow
+                / (1.0 + m2rc * v + rho2 * v * v))
+
+    # (-1)**p is -1 for p = +-1.
+    prefac = (-rho if p else rho) * sin_nupi / (e * math.pi)
+    knee = abs(rho) ** (e / nu)
+    split = max((10.0 * abs(rho)) ** (e / nu), 1.0)
+    epsabs = min(tol / (2.0 * max(abs(prefac), 1e-12)), 1e-8)
+    val, err = _quad_complex(integrand, split, [knee], epsabs)
+    tail, terr = _quad_complex(tail_integrand, 1.0 / split, [], epsabs)
+    if abs(prefac) * (err + terr) > 50.0 * tol:
+        raise QuadratureFailure(
+            f"branch-cut quadrature error {abs(prefac) * (err + terr):.3g} "
+            f"exceeds tol={tol:g}")
+    return prefac * (val + tail)
+
+
+def f_nu(spec: DecayKernelSpec, t: float, tol: float = DEFAULT_TOL) -> complex:
     """Decay kernel F(rho, t): branch-cut integral of the ML decomposition.
 
     Defined as (rho*sin(nu*pi)/pi) * integral over r in (0, inf) of
     exp(-r*t) * r**(nu-1) / (r**(2 nu) - 2 rho cos(nu pi) r**nu + rho**2).
-    Computed after the substitution w = r**nu, which removes the endpoint
-    singularity; the integrand is then bounded at the origin.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -192,98 +255,37 @@ def f_nu(spec: DecayKernelSpec, t: float, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     rho = complex(spec.rho)
     nu = spec.order.nu
-    if rho == 0:
+    if t > 0.0:
+        return _cut_integral(rho, nu, t, 0, tol)
+    if rho == 0 or abs(math.sin(math.pi * nu)) < 1e-14:
         return 0.0 + 0j
-    sin_nupi = math.sin(math.pi * nu)
-    if abs(sin_nupi) < 1e-14:
-        # Integer order: the branch cut carries no weight.
-        return 0.0 + 0j
-    _check_roots_off_axis(rho, nu, axis_margin)
-
-    if t == 0.0:
-        # Closed form.  On the principal sheet this is (1-nu)/nu; each
-        # denominator root that has wound past the integration ray shifts the
-        # literal integral by 1/nu.
-        return complex((1.0 - nu) / nu + _axis_crossings(rho, nu) / nu)
-
-    c = math.cos(math.pi * nu)
-    prefac = rho * sin_nupi / (nu * math.pi)
-
-    def integrand(w):
-        return math.exp(-w ** (1.0 / nu) * t) / (w * w - 2.0 * rho * c * w
-                                                 + rho * rho)
-
-    def tail_integrand(u):
-        # u = 1/w maps [W, inf) to (0, 1/W]; keeps the range finite at any t.
-        if u <= 0.0:
-            return 0.0
-        expo = u ** (-1.0 / nu) * t
-        if expo > 700.0:
-            return 0.0
-        return math.exp(-expo) / (1.0 - 2.0 * rho * c * u
-                                  + rho * rho * u * u)
-
-    split = max(10.0 * abs(rho), 1.0)
-    epsabs = min(tol / (2.0 * max(abs(prefac), 1e-12)), 1e-8)
-    val, err = _quad_complex(integrand, split, [abs(rho)], epsabs)
-    tail, terr = _quad_complex(tail_integrand, 1.0 / split, [], epsabs)
-    if abs(prefac) * (err + terr) > 50.0 * tol:
-        raise QuadratureFailure(
-            f"decay kernel quadrature error {abs(prefac) * (err + terr):.3g} "
-            f"exceeds tol={tol:g}")
-    return prefac * (val + tail)
+    _check_roots_off_axis(rho, nu)
+    # Closed form.  On the principal sheet this is (1-nu)/nu; each
+    # denominator root that has wound past the integration ray shifts the
+    # literal integral by 1/nu.
+    return complex((1.0 - nu) / nu + _axis_crossings(rho, nu) / nu)
 
 
 def f_nu_time_derivative(spec: DecayKernelSpec, t: float,
-                         tol: float = DEFAULT_TOL,
-                         axis_margin: float = AXIS_MARGIN) -> complex:
+                         tol: float = DEFAULT_TOL) -> complex:
     """d/dt of the decay kernel, by differentiating under the integral.
 
     The differentiation multiplies the integrand by -r; without the
     exponential factor the integral diverges, so t must be positive.
     """
-    from .errors import SingularTime
-
     if t <= 0:
         raise SingularTime("kernel time derivative is undefined at t = 0")
-    rho = complex(spec.rho)
-    nu = spec.order.nu
-    if rho == 0 or abs(math.sin(math.pi * nu)) < 1e-14:
-        return 0.0 + 0j
-    _check_roots_off_axis(rho, nu, axis_margin)
-
-    c = math.cos(math.pi * nu)
-    prefac = -rho * math.sin(math.pi * nu) / (nu * math.pi)
-
-    def integrand(w):
-        r = w ** (1.0 / nu)
-        return r * math.exp(-r * t) / (w * w - 2.0 * rho * c * w + rho * rho)
-
-    def tail_integrand(u):
-        if u <= 0.0:
-            return 0.0
-        r = u ** (-1.0 / nu)
-        if r * t > 700.0:
-            return 0.0
-        return r * math.exp(-r * t) / (1.0 - 2.0 * rho * c * u
-                                       + rho * rho * u * u)
-
-    split = max(10.0 * abs(rho), 1.0)
-    epsabs = min(tol / (2.0 * max(abs(prefac), 1e-12)), 1e-8)
-    val, _err = _quad_complex(integrand, split, [abs(rho)], epsabs)
-    tail, _terr = _quad_complex(tail_integrand, 1.0 / split, [], epsabs)
-    return prefac * (val + tail)
+    return _cut_integral(complex(spec.rho), spec.order.nu, t, 1, tol)
 
 
-def _poles(sigma: float, order: FractionalOrder, sign: Sign,
-           margin: float = AXIS_MARGIN) -> list[complex]:
+def _poles(sigma: float, order: FractionalOrder, sign: Sign) -> list[complex]:
     """Roots of s**nu = sigma*(+-i)**nu on the principal sheet |arg s| < pi."""
     nu = order.nu
     root = sigma ** (1.0 / nu)
     poles = [root * np.exp(sign.value * 1j * math.pi / 2.0)]
     # A second root enters the sheet for orders beyond 4/3.
     arg2 = sign.value * (math.pi / 2.0 - 2.0 * math.pi / nu)
-    if abs(abs(arg2) - math.pi) < margin:
+    if abs(abs(arg2) - math.pi) < AXIS_MARGIN:
         raise DenominatorSingularity(
             f"secondary pole at arg {arg2:.4f} sits on the branch cut "
             f"(nu={nu})")
@@ -319,9 +321,7 @@ def ml_complex_decomposed(sigma: float, sign: Sign, order: FractionalOrder,
 
 
 def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
-                         tol: float = DEFAULT_TOL,
-                         axis_margin: float = AXIS_MARGIN
-                         ) -> tuple[complex, complex]:
+                         tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     """Coefficients multiplying the two initial values for orders in (1, 2].
 
     Derived from the inverse Laplace transform of
@@ -330,46 +330,13 @@ def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
     integral, with the a1 branch-cut integrand carrying r**(nu-2).
     """
     nu = order.nu
-    rho = sigma * order.i_pow(Sign.PLUS_I)
-    poles = _poles(sigma, order, Sign.PLUS_I, axis_margin)
+    rho = complex(sigma * order.i_pow(Sign.PLUS_I))
+    poles = _poles(sigma, order, Sign.PLUS_I)
 
     osc0 = sum(np.exp(s * t) for s in poles) / nu
     osc1 = sum(np.exp(s * t) / s for s in poles) / nu
-
-    sin_nupi = math.sin(math.pi * nu)
-    dec0 = f_nu(DecayKernelSpec(rho, order), t, tol, axis_margin)
-    if abs(sin_nupi) < 1e-14:
-        dec1 = 0.0 + 0j
-    else:
-        # Branch-cut piece of the a1 term, after u = r**(nu-1):
-        # the integrand is bounded at the origin and decays algebraically.
-        c = math.cos(math.pi * nu)
-        p = nu / (nu - 1.0)
-
-        def integrand(u):
-            r = u ** (1.0 / (nu - 1.0))
-            return math.exp(-r * t) / (u ** (2 * p) - 2.0 * rho * c * u ** p
-                                       + rho * rho)
-
-        prefac = -rho * sin_nupi / ((nu - 1.0) * math.pi)
-        u_rho = abs(rho) ** ((nu - 1.0) / nu)
-        if t > 0:
-            upper = max((math.log(100.0 / tol) / t) ** (nu - 1.0),
-                        10.0 * u_rho, 1.0)
-        else:
-            # Algebraic tail only: u**(-2*p) beyond the cutoff.
-            upper = max((1.0 / tol) ** (1.0 / (2.0 * p - 1.0)),
-                        10.0 * u_rho, 1.0)
-        epsabs = min(tol / (2.0 * max(abs(prefac), 1e-12)), 1e-8)
-        val, _ = _quad_complex(integrand, upper, [u_rho], epsabs)
-        if t == 0.0:
-            tail_res = quad(lambda u: integrand(u).real, upper, np.inf,
-                            limit=100, epsabs=epsabs)
-            tail_ims = quad(lambda u: integrand(u).imag, upper, np.inf,
-                            limit=100, epsabs=epsabs)
-            val += tail_res[0] + 1j * tail_ims[0]
-        dec1 = prefac * val
-
+    dec0 = f_nu(DecayKernelSpec(rho, order), t, tol)
+    dec1 = _cut_integral(rho, nu, t, -1, tol)
     return complex(osc0) - dec0, complex(osc1) - dec1
 
 

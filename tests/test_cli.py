@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tfse import cli
+from tfse import cli, dynamics
 
 
 def read_csv(path):
@@ -75,16 +75,6 @@ class TestMl:
         mb = json.loads((b / "ml_manifest.json").read_text())
         assert ma["outputs"] == mb["outputs"]
 
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        args = ["ml", "--nu", "0.5", "--sigma", "1", "--t-grid", "0:2:9"]
-        serial, threaded = tmp_path / "s", tmp_path / "t"
-        monkeypatch.setenv("TFSE_THREADS", "1")
-        cli.main(args + ["--outdir", str(serial)])
-        monkeypatch.setenv("TFSE_THREADS", "4")
-        cli.main(args + ["--outdir", str(threaded)])
-        assert (serial / "ml.csv").read_text() \
-            == (threaded / "ml.csv").read_text()
-
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ml", "--nu", "0.5", "--t-grid", "oops"])
@@ -120,6 +110,28 @@ class TestWell:
         assert header == ["t", "dpdt", "integrated_source"]
         scale = np.abs(rows[:, 1]).max()
         assert np.abs(rows[:, 1] - rows[:, 2]).max() < 0.02 * scale
+
+    def test_continuity_honours_tol(self, tmp_path, monkeypatch):
+        seen = {}
+        real = dynamics.well_continuity_series
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "well_continuity_series", spy)
+        code = cli.main(["well", "--nu", "0.5", "--emit", "continuity",
+                         "--t-grid", "0.5:1:3", "--tol", "1e-3",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        assert seen["tol"] == 1e-3
+
+    def test_potential_count_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["well", "--nu", "0.5", "--nv", "3", "--emit",
+                      "probability", "--t-grid", "1:2:2",
+                      "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestFree:

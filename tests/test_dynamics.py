@@ -11,8 +11,8 @@ from tfse.dynamics import GridField, RunConfig, SpectralPacket
 from tfse.specfun import FractionalOrder
 
 
-def cfg_of(nu, n_m=0.5, n_v=0.0):
-    return RunConfig(FractionalOrder(nu), n_m=n_m, n_v=n_v)
+def cfg_of(nu, n_m=0.5):
+    return RunConfig(FractionalOrder(nu), n_m=n_m)
 
 
 def unit_packet(half_width=8.0, count=161, width=1.0):
@@ -22,9 +22,8 @@ def unit_packet(half_width=8.0, count=161, width=1.0):
 
 class TestTypes:
     def test_run_config_coefficients(self):
-        cfg = cfg_of(0.5, n_m=2.0, n_v=3.0)
+        cfg = cfg_of(0.5, n_m=2.0)
         assert cfg.beta == pytest.approx(0.25)
-        assert cfg.alpha == pytest.approx(3.0)
 
     def test_packet_rejects_asymmetric_grid(self):
         lam = np.linspace(-1.0, 2.0, 31)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from tfse.errors import (
     DenominatorSingularity,
     InvalidOrder,
     NonConvergence,
+    QuadratureFailure,
 )
 from tfse.specfun import (
     DecayKernelSpec,
@@ -20,6 +22,20 @@ from tfse.specfun import (
     ml_series,
     ml_two_ic,
 )
+
+
+def ml_two_param_mp(z, nu, beta):
+    """E_{nu,beta}(z) = sum z**k / Gamma(nu k + beta), summed in mpmath."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        total = mpmath.mpc(0)
+        k = 0
+        while True:
+            term = z ** k / mpmath.gamma(mpmath.mpf(nu) * k + beta)
+            total += term
+            if k > 10 and abs(term) < mpmath.mpf(10) ** -25:
+                return complex(total)
+            k += 1
 
 
 class TestFractionalOrder:
@@ -103,6 +119,24 @@ class TestDecayKernel:
         with pytest.raises(ValueError):
             specfun.f_nu(spec, -1.0)
 
+    @pytest.mark.parametrize("rho", [complex("inf"), complex("nan"),
+                                     float("inf"), complex(1.0, math.nan)])
+    def test_spec_rejects_nonfinite_rho(self, rho):
+        with pytest.raises(ValueError):
+            DecayKernelSpec(rho, FractionalOrder(0.5))
+
+    @pytest.mark.parametrize("nu", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("sigma", [0.5, 4.0])
+    def test_time_derivative_matches_centred_difference(self, nu, sigma):
+        order = FractionalOrder(nu)
+        spec = DecayKernelSpec(sigma * order.i_pow(Sign.MINUS_I), order)
+        h = 1e-4
+        for t in (0.5, 3.0, 20.0):
+            diff = (specfun.f_nu(spec, t + h)
+                    - specfun.f_nu(spec, t - h)) / (2.0 * h)
+            assert specfun.f_nu_time_derivative(spec, t) == pytest.approx(
+                diff, abs=1e-6)
+
     def test_root_on_axis_raises(self):
         # nu = 4/3 on the physics ray puts a denominator root on the cut.
         order = FractionalOrder(4.0 / 3.0)
@@ -165,12 +199,20 @@ class TestTwoInitialConditions:
         assert ml_two_ic(0.0, order, 2.0, 3.0, 1.5) == pytest.approx(6.5)
 
     def test_matches_series_mid_order(self):
+        # A = a0 E_nu(z) + a1 t E_{nu,2}(z) with z = sigma i**nu t**nu.
         order = FractionalOrder(1.5)
         sigma, t = 1.0, 1.2
         z = sigma * order.i_pow(Sign.PLUS_I) * t ** order.nu
         want = ml_series(z, order, tol=1e-12)
         got = ml_two_ic(sigma, order, 1.0, 0.0, t)
         assert got == pytest.approx(want, abs=1e-8)
+        for nu in (1.01, 1.2, 1.5, 1.9):
+            order = FractionalOrder(nu)
+            for t in (0.0, 0.5, 1.2, 3.0):
+                z = sigma * order.i_pow(Sign.PLUS_I) * t ** nu
+                want = t * ml_two_param_mp(z, nu, 2.0)
+                got = ml_two_ic(sigma, order, 0.0, 1.0, t)
+                assert got == pytest.approx(want, abs=1e-9)
 
     def test_branch_validator_passes(self):
         specfun.validate_two_ic_branch(1.0, FractionalOrder(1.5))
@@ -179,3 +221,35 @@ class TestTwoInitialConditions:
     def test_rejects_sub_unit(self):
         with pytest.raises(InvalidOrder):
             ml_two_ic(1.0, FractionalOrder(0.5), 1.0, 0.0, 1.0)
+
+
+class TestQuadratureFailure:
+    """Every branch-cut integral reports quad's error estimate."""
+
+    @pytest.fixture(autouse=True)
+    def inflated_error(self, monkeypatch):
+        real = specfun.quad
+
+        def quad_reporting_large_error(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return (res[0], 1.0) + tuple(res[2:])
+
+        monkeypatch.setattr(specfun, "quad", quad_reporting_large_error)
+
+    def spec(self):
+        order = FractionalOrder(0.5)
+        return DecayKernelSpec(order.i_pow(Sign.MINUS_I), order)
+
+    def test_decay_kernel(self):
+        with pytest.raises(QuadratureFailure):
+            specfun.f_nu(self.spec(), 1.0)
+
+    def test_time_derivative(self):
+        with pytest.raises(QuadratureFailure):
+            specfun.f_nu_time_derivative(self.spec(), 1.0)
+
+    def test_two_ic_slope_term(self, monkeypatch):
+        # Keep the a0 kernel out of the way, so only the a1 term can raise.
+        monkeypatch.setattr(specfun, "f_nu", lambda spec, t, tol: 0j)
+        with pytest.raises(QuadratureFailure):
+            ml_two_ic(1.0, FractionalOrder(1.5), 0.0, 1.0, 1.0)
