@@ -2,12 +2,15 @@
 
 Subcommands: `ml` (Mittag-Leffler tables), `well` (infinite-well mode
 diagnostics), `free` (free-particle snapshots and probability series) and
-`verify` (invariant suites).  Every output file is a commented CSV with a
-single header row; a JSON manifest carrying the full parameter set, the tool
-version, the tolerances and sha256 checksums is written next to the outputs,
-so a run can be reproduced and diffed.
+`verify` (the named checks of `tfse.verify.SUITES`).  Every output file of
+`ml`, `well` and `free` is a commented CSV with a single header row; a JSON
+manifest carrying the full parameter set, the tool version, the tolerances
+and sha256 checksums is written next to the outputs, so a run can be
+reproduced and diffed.  `verify` takes only `--suite`, writes no files and
+prints one line per check: its metric, bound and wall time in seconds.
 
-A `--config key=value` file may seed any long flag; explicit flags override.
+A `--config key=value` file may seed any long flag of `ml`, `well` and
+`free`; explicit flags override.
 Grid cells are evaluated one after another, in grid order, so a rerun with
 the same flags writes byte-identical files.
 
@@ -265,13 +268,13 @@ def cmd_free(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, quick=args.quick)
+    results = verify.run_suite(args.suite)
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  {status}  metric={r.metric:.3e}  "
-              f"bound={r.bound:.3e}")
+              f"bound={r.bound:.3e}  seconds={r.seconds:.2f}")
         ok = ok and r.passed
     print(f"{'all checks passed' if ok else 'some checks FAILED'} "
           f"({sum(r.passed for r in results)}/{len(results)})")
@@ -366,11 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_free.add_argument("--high-order", action="store_true")
     p_free.set_defaults(func=cmd_free)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the invariant suites")
+    p_verify = sub.add_parser("verify", help="run the named checks")
     p_verify.add_argument("--suite", default="all",
-                          choices=("specfun", "fraccalc", "tfse", "all"))
-    p_verify.add_argument("--quick", action="store_true")
+                          choices=(*verify.SUITES, "all"))
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

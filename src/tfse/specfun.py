@@ -98,8 +98,8 @@ class MlDecomposition:
     total: complex
 
 
-def ml_series(z: complex, order: FractionalOrder, tol: float = DEFAULT_TOL,
-              with_bound: bool = False):
+def ml_series(z: complex, order: FractionalOrder,
+              tol: float = DEFAULT_TOL) -> complex:
     """Evaluate E_nu(z) by its power series sum_n z**n / Gamma(nu*n + 1).
 
     Truncates once the term magnitude drops below tol times the running sum
@@ -112,7 +112,7 @@ def ml_series(z: complex, order: FractionalOrder, tol: float = DEFAULT_TOL,
     nu = order.nu
     z = complex(z)
     if z == 0:
-        return (1.0 + 0j, 0.0) if with_bound else 1.0 + 0j
+        return 1.0 + 0j
 
     logz = np.log(z)
     total = 0.0 + 0j
@@ -128,8 +128,7 @@ def ml_series(z: complex, order: FractionalOrder, tol: float = DEFAULT_TOL,
             if abs(nxt) <= tol * max(abs(total), 1e-300):
                 below += 1
                 if below >= 2:
-                    return (total + nxt, abs(nxt)) if with_bound \
-                        else total + nxt
+                    return total + nxt
             else:
                 below = 0
             term = nxt
@@ -346,8 +345,8 @@ def ml_two_ic(sigma: float, order: FractionalOrder, a0: complex, a1: complex,
 
     Solves D**nu A = sigma * i**nu * A with A(0) = a0 and A'(0) = a1 for
     orders in (1, 2].  The exponent sign e^{+i sigma^{1/nu} t} follows the
-    residue at the principal pole and is confirmed by the Caputo-residual
-    test in the suite; see validate_two_ic_branch for the t = 0 identities.
+    residue at the principal pole and is confirmed by the "two-IC exponent
+    sign" check of `tfse.verify`.
     """
     if order.regime is not Regime.SUPER_UNIT:
         raise InvalidOrder("two-initial-condition solution needs nu in (1, 2]")
@@ -362,16 +361,3 @@ def ml_two_ic(sigma: float, order: FractionalOrder, a0: complex, a1: complex,
         return complex(a0) + complex(a1) * t
     c0, c1 = _two_ic_coefficients(sigma, order, t, tol)
     return complex(a0) * c0 + complex(a1) * c1
-
-
-def validate_two_ic_branch(sigma: float, order: FractionalOrder,
-                           tol: float = 1e-8) -> None:
-    """Assert the t = 0 identities A(0) = a0, coefficient of a1 -> 0.
-
-    Guards the branch conventions before they are trusted for evolution.
-    """
-    c0, c1 = _two_ic_coefficients(sigma, order, 0.0)
-    if abs(c0 - 1.0) > tol or abs(c1) > tol:
-        raise AssertionError(
-            f"two-IC branch check failed at t=0: a0 coefficient {c0:.3e}, "
-            f"a1 coefficient {c1:.3e} (sigma={sigma}, nu={order.nu})")

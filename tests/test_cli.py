@@ -189,11 +189,20 @@ class TestConfigAndVerify:
         manifest = json.loads((tmp_path / "ml_manifest.json").read_text())
         assert manifest["parameters"]["sigma"] == 1.0
 
-    def test_verify_quick_specfun(self, capsys):
-        code = cli.main(["verify", "--suite", "specfun", "--quick"])
+    def test_verify_fraccalc_suite(self, capsys):
+        code = cli.main(["verify", "--suite", "fraccalc"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "pass" in out and "FAIL" not in out
+        assert "seconds=" in out and "FAIL" not in out
+        assert "all checks passed (4/4)" in out
+
+    @pytest.mark.parametrize("flag", [["--quick"], ["--tol", "1e-3"],
+                                      ["--outdir", "x"]],
+                             ids=["quick", "tol", "outdir"])
+    def test_verify_takes_only_suite(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "fraccalc", *flag])
+        assert exc.value.code == 2
 
     def test_verify_rejects_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:

@@ -73,11 +73,6 @@ class TestSeries:
             assert ml_series(-x * x, order) == pytest.approx(
                 math.cos(x), abs=1e-10)
 
-    def test_reports_truncation_bound(self):
-        val, bound = ml_series(1.0, FractionalOrder(0.5), with_bound=True)
-        assert bound < 1e-10
-        assert val == pytest.approx(ml_series(1.0, FractionalOrder(0.5)))
-
     def test_raises_on_catastrophic_cancellation(self):
         # Large argument at small order: float64 terms overflow the sum.
         order = FractionalOrder(0.3)
@@ -213,10 +208,6 @@ class TestTwoInitialConditions:
                 want = t * ml_two_param_mp(z, nu, 2.0)
                 got = ml_two_ic(sigma, order, 0.0, 1.0, t)
                 assert got == pytest.approx(want, abs=1e-9)
-
-    def test_branch_validator_passes(self):
-        specfun.validate_two_ic_branch(1.0, FractionalOrder(1.5))
-        specfun.validate_two_ic_branch(2.0, FractionalOrder(1.9))
 
     def test_rejects_sub_unit(self):
         with pytest.raises(InvalidOrder):
