@@ -203,7 +203,7 @@ def cmd_well(args) -> int:
     else:  # continuity
         dpdt, int_s = dynamics.well_continuity_series(mode, cfg, times,
                                                       tol=args.tol)
-        rows = list(zip(times, dpdt.values, int_s.values))
+        rows = list(zip(times, dpdt, int_s))
         path = outdir / "well_continuity.csv"
         _write_csv(path, ["t", "dpdt", "integrated_source"], rows,
                    comments=[meta])

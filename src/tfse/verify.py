@@ -311,11 +311,9 @@ def _check_continuity() -> CheckResult:
     worst = 0.0
     for nu in (0.5, 0.75):
         cfg, mode = _well(nu)
-        dpdt, int_s = dynamics.well_continuity_series(mode, cfg, samples,
-                                                      h=2.5e-3)
-        scale = float(np.abs(dpdt.values).max())
-        worst = max(worst,
-                    float(np.abs(dpdt.values - int_s.values).max()) / scale)
+        dpdt, int_s = dynamics.well_continuity_series(mode, cfg, samples)
+        scale = float(np.abs(dpdt).max())
+        worst = max(worst, float(np.abs(dpdt - int_s).max()) / scale)
     return CheckResult("continuity with source", worst, 0.02)
 
 
@@ -345,6 +343,22 @@ def _check_recast_residual() -> CheckResult:
     return CheckResult("recast first-order residual", res.max_abs, 5e-3)
 
 
+def _check_continuity_memory_field() -> CheckResult:
+    # The closed-form D**(1-nu) A against L1 at whole multiples of h.
+    h = 1e-3
+    worst = 0.0
+    for nu, n in ((0.3, 1), (0.5, 1), (0.8, 2)):
+        cfg, mode = _well(nu, n)
+        hist = dynamics.well_amplitude_history(mode, cfg, 1.0, h)
+        l1 = fraccalc.caputo_l1_values(hist.values, h, 1.0 - nu)
+        for t in (0.25, 0.5, 0.75, 1.0):
+            a, da = dynamics.well_amplitude_rate(mode, cfg, t)
+            closed = dynamics.well_memory_amplitude(mode, cfg, t, a, da)
+            err = abs(closed - l1[round(t / h)]) / abs(closed)
+            worst = max(worst, float(err))
+    return CheckResult("continuity memory field vs L1", worst, 5e-4)
+
+
 SUITES = {
     "specfun": (
         _check_series_vs_decomposition,
@@ -372,6 +386,7 @@ SUITES = {
         _check_continuity,
         _check_caputo_residual_order,
         _check_recast_residual,
+        _check_continuity_memory_field,
     ),
 }
 

@@ -111,6 +111,17 @@ class TestWell:
         scale = np.abs(rows[:, 1]).max()
         assert np.abs(rows[:, 1] - rows[:, 2]).max() < 0.02 * scale
 
+    def test_continuity_balances_fast_mode(self, tmp_path):
+        # nu 0.3, n 3: omega**(1/nu) is about 1500, too fast for an L1
+        # memory field sampled at step 2.5e-3 to keep the balance.
+        code = cli.main(["well", "--nu", "0.3", "--n", "3", "--emit",
+                         "continuity", "--t-grid", "0.5:3:8",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "well_continuity.csv")
+        scale = np.abs(rows[:, 1]).max()
+        assert np.abs(rows[:, 1] - rows[:, 2]).max() <= 0.02 * scale
+
     def test_continuity_honours_tol(self, tmp_path, monkeypatch):
         seen = {}
         real = dynamics.well_continuity_series

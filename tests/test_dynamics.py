@@ -145,20 +145,6 @@ class TestWell:
 
 
 class TestDiagnostics:
-    def test_weighted_history_constant_field(self):
-        x = np.linspace(-1.0, 1.0, 21)
-        fields = [GridField(x, np.ones_like(x, dtype=complex))
-                  for _ in range(11)]
-        out = dynamics.weighted_history(fields, 0.1, FractionalOrder(0.6))
-        assert np.abs(out.values).max() == 0.0
-
-    def test_weighted_history_unit_order(self):
-        x = np.linspace(-1.0, 1.0, 21)
-        fields = [GridField(x, (k + 1.0) * np.ones_like(x, dtype=complex))
-                  for k in range(5)]
-        out = dynamics.weighted_history(fields, 0.1, FractionalOrder(1.0))
-        assert np.allclose(out.values, 5.0)
-
     def test_current_vanishes_for_real_static_field(self):
         x = np.linspace(-1.0, 1.0, 101)
         f = GridField(x, np.exp(-x ** 2).astype(complex))
@@ -257,3 +243,26 @@ class TestContinuity:
         mode = dynamics.well_mode(1, math.pi, cfg)
         with pytest.raises(SingularTime):
             dynamics.well_continuity_series(mode, cfg, np.array([0.0, 1.0]))
+
+    def test_dpdt_matches_difference_of_probability(self):
+        cfg = cfg_of(0.5)
+        mode = dynamics.well_mode(2, math.pi, cfg)
+        times = np.array([0.5, 1.25, 3.0])
+        dpdt, _ = dynamics.well_continuity_series(mode, cfg, times)
+        h = 1e-4
+
+        def prob(t):
+            return abs(dynamics.well_amplitude(mode, cfg, float(t))) ** 2
+
+        fd = np.array([(prob(t + h) - prob(t - h)) / (2.0 * h)
+                       for t in times])
+        assert np.abs(dpdt - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_unit_order_has_no_source(self):
+        # At nu = 1 the memory field is A itself and |A| stays 1.
+        cfg = cfg_of(1.0)
+        mode = dynamics.well_mode(1, math.pi, cfg)
+        dpdt, int_s = dynamics.well_continuity_series(mode, cfg,
+                                                      np.array([0.5, 2.0]))
+        assert np.abs(dpdt).max() < 1e-10
+        assert np.abs(int_s).max() < 1e-10
