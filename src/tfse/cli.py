@@ -11,8 +11,8 @@ prints one line per check: its metric, bound and wall time in seconds.
 
 A `--config key=value` file may seed any long flag of `ml`, `well` and
 `free`; explicit flags override.
-Grid cells are evaluated one after another, in grid order, so a rerun with
-the same flags writes byte-identical files.
+Each table's grid is one array call, evaluated point by point in grid
+order, so a rerun with the same flags writes byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.
@@ -135,13 +135,11 @@ def _expand_config(argv: list[str]) -> list[str]:
 def cmd_ml(args) -> int:
     order = FractionalOrder(args.nu)
     sign = Sign.PLUS_I if args.sign == "plus" else Sign.MINUS_I
-    rows = []
-    for t in args.t_grid:
-        d = ml_complex_decomposed(args.sigma, sign, order, float(t),
-                                  tol=args.tol)
-        rows.append((float(t), d.total.real, d.total.imag,
-                     d.oscillatory.real, d.oscillatory.imag,
-                     d.decay.real, d.decay.imag))
+    d = ml_complex_decomposed(args.sigma, sign, order, args.t_grid,
+                              tol=args.tol)
+    rows = np.column_stack([args.t_grid, d.total.real, d.total.imag,
+                            d.oscillatory.real, d.oscillatory.imag,
+                            d.decay.real, d.decay.imag]).tolist()
     header = ["t", "re_total", "im_total", "re_osc", "im_osc",
               "re_decay", "im_decay"]
     outdir = Path(args.outdir)
@@ -149,8 +147,7 @@ def cmd_ml(args) -> int:
     outputs = []
     if args.format == "json":
         path = outdir / "ml.json"
-        payload = {"columns": header,
-                   "rows": [list(r) for r in rows]}
+        payload = {"columns": header, "rows": rows}
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
         path = outdir / "ml.csv"
@@ -176,37 +173,30 @@ def cmd_well(args) -> int:
             f"lambda_n={mode.lambda_n:.12g}")
 
     if args.emit == "amplitude":
-        rows = [(float(t),) + _reim(
-                    dynamics.well_amplitude(mode, cfg, float(t), args.tol))
-                for t in times]
+        a = dynamics.well_amplitude(mode, cfg, times, args.tol)
         path = outdir / "well_amplitude.csv"
-        _write_csv(path, ["t", "re_a", "im_a"], rows, comments=[meta])
+        _write_csv(path, ["t", "re_a", "im_a"], zip(times, a.real, a.imag),
+                   comments=[meta])
         outputs.append(path)
     elif args.emit == "probability":
-        rows = [(float(t),
-                 abs(dynamics.well_amplitude(mode, cfg, float(t),
-                                             args.tol)) ** 2)
-                for t in times]
+        a = dynamics.well_amplitude(mode, cfg, times, args.tol)
         path = outdir / "well_probability.csv"
-        _write_csv(path, ["t", "probability"], rows,
+        _write_csv(path, ["t", "probability"], zip(times, np.abs(a) ** 2),
                    comments=[meta, f"limit={1.0 / args.nu ** 2:.12g}"])
         outputs.append(path)
     elif args.emit == "energy":
         limit = dynamics.energy_level_limit(mode, cfg)
-        rows = [(float(t),) + _reim(
-                    dynamics.energy_level(mode, cfg, float(t), args.tol))
-                for t in times]
+        e = dynamics.energy_level(mode, cfg, times, args.tol)
         path = outdir / "well_energy.csv"
-        _write_csv(path, ["t", "re_e", "im_e"], rows,
+        _write_csv(path, ["t", "re_e", "im_e"], zip(times, e.real, e.imag),
                    comments=[meta, f"limit={limit:.12g}"])
         outputs.append(path)
     else:  # continuity
         dpdt, int_s = dynamics.well_continuity_series(mode, cfg, times,
                                                       tol=args.tol)
-        rows = list(zip(times, dpdt, int_s))
         path = outdir / "well_continuity.csv"
-        _write_csv(path, ["t", "dpdt", "integrated_source"], rows,
-                   comments=[meta])
+        _write_csv(path, ["t", "dpdt", "integrated_source"],
+                   zip(times, dpdt, int_s), comments=[meta])
         outputs.append(path)
 
     _write_manifest(outdir, "well", _params(args), {"tol": args.tol},
@@ -283,10 +273,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-def _reim(z: complex) -> tuple[float, float]:
-    return (z.real, z.imag)
-
 
 def _params(args) -> dict:
     out = {}

@@ -114,7 +114,6 @@ class WellMode:
     n: int
     a: float
     lambda_n: float
-    omega_n: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -146,23 +145,15 @@ def free_spectrum_evolve(packet0: SpectralPacket, cfg: RunConfig,
     """Evolve a spectral packet for orders in (0, 1].
 
     Each node is multiplied by the oscillation-minus-decay value at its own
-    frequency; the two pieces are kept so the field split is available after
-    the inverse transform.
+    frequency, all nodes in one decomposition call; the two pieces are kept
+    so the field split is available after the inverse transform.
     """
     if cfg.nu.regime is not Regime.SUB_UNIT:
         raise InvalidOrder("sub-unit evolution needs nu in (0, 1]")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     omegas = node_frequency(packet0.wavenumbers, cfg)
-    osc = np.empty_like(packet0.amplitudes)
-    dec = np.empty_like(packet0.amplitudes)
-    for i, w in enumerate(omegas):
-        d = specfun.ml_complex_decomposed(float(w), Sign.MINUS_I, cfg.nu,
-                                          t, tol)
-        osc[i] = d.oscillatory
-        dec[i] = d.decay
-    amp_s = packet0.amplitudes * osc
-    amp_d = -packet0.amplitudes * dec
+    d = specfun.ml_complex_decomposed(omegas, Sign.MINUS_I, cfg.nu, t, tol)
+    amp_s = packet0.amplitudes * d.oscillatory
+    amp_d = -packet0.amplitudes * d.decay
     return SpectralPacket(packet0.wavenumbers, amp_s + amp_d,
                           amplitudes_s=amp_s, amplitudes_d=amp_d)
 
@@ -171,17 +162,14 @@ def free_spectrum_high_order(packet0: SpectralPacket, packet1: SpectralPacket,
                              cfg: RunConfig, t: float,
                              tol: float = specfun.DEFAULT_TOL
                              ) -> SpectralPacket:
-    """Evolve with two initial packets for orders in (1, 2]."""
+    """Evolve with two initial packets for orders in (1, 2], one call."""
     if cfg.nu.regime is not Regime.SUPER_UNIT:
         raise InvalidOrder("high-order evolution needs nu in (1, 2]")
     if not np.array_equal(packet0.wavenumbers, packet1.wavenumbers):
         raise ValueError("packets must share a wavenumber grid")
     omegas = node_frequency(packet0.wavenumbers, cfg)
-    out = np.empty_like(packet0.amplitudes)
-    for i, w in enumerate(omegas):
-        out[i] = specfun.ml_two_ic(float(w), cfg.nu,
-                                   packet0.amplitudes[i],
-                                   packet1.amplitudes[i], t, tol)
+    out = specfun.ml_two_ic(omegas, cfg.nu, packet0.amplitudes,
+                            packet1.amplitudes, t, tol)
     return SpectralPacket(packet0.wavenumbers, out)
 
 
@@ -228,7 +216,7 @@ def spectral_probability(packet: SpectralPacket) -> float:
 def well_mode(n: int, a: float, cfg: RunConfig) -> WellMode:
     """Eigenpair of the infinite well: lambda_n = (n pi / a)**2 / (2 N_m)."""
     lam = (n * math.pi / a) ** 2 / (2.0 * cfg.n_m)
-    return WellMode(n=n, a=a, lambda_n=lam, omega_n=lam)  # T_p = 1
+    return WellMode(n=n, a=a, lambda_n=lam)
 
 
 def well_shape(mode: WellMode, positions: np.ndarray) -> np.ndarray:
@@ -237,12 +225,11 @@ def well_shape(mode: WellMode, positions: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / mode.a) * np.sin(mode.n * math.pi * x / mode.a)
 
 
-def well_amplitude(mode: WellMode, cfg: RunConfig, t: float,
-                   tol: float = specfun.DEFAULT_TOL) -> complex:
-    """Modal amplitude A(t) with A(0) = 1, for orders in (0, 1]."""
-    d = specfun.ml_complex_decomposed(mode.omega_n, Sign.MINUS_I, cfg.nu,
-                                      t, tol)
-    return d.total
+def well_amplitude(mode: WellMode, cfg: RunConfig, t: float | np.ndarray,
+                   tol: float = specfun.DEFAULT_TOL) -> complex | np.ndarray:
+    """Modal amplitude A(t) with A(0) = 1 at each t, for orders in (0, 1]."""
+    return specfun.ml_complex_decomposed(mode.lambda_n, Sign.MINUS_I, cfg.nu,
+                                         t, tol).total
 
 
 def well_field(mode: WellMode, cfg: RunConfig, t: float,
@@ -315,37 +302,36 @@ def energy_average(field: GridField, weighted: GridField) -> complex:
                                 field.positions))
 
 
-def well_amplitude_rate(mode: WellMode, cfg: RunConfig, t: float,
-                        tol: float = specfun.DEFAULT_TOL
-                        ) -> tuple[complex, complex]:
+def well_amplitude_rate(mode: WellMode, cfg: RunConfig, t: float | np.ndarray,
+                        tol: float = specfun.DEFAULT_TOL) -> tuple:
     """Modal amplitude A(t) and its rate dA/dt, for orders in (0, 1].
 
     dA/dt comes from the analytic decomposition: derivative of the
     oscillatory exponential plus the differentiated decay integral, avoiding
-    finite-difference noise.  Singular at t = 0 for nu < 1.
+    finite-difference noise.  Singular at t = 0 for nu < 1.  t is a scalar
+    or an array; both results have its shape.
     """
     nu = cfg.nu.nu
-    omega = mode.omega_n
-    if nu < 1.0 and t <= 0:
+    lam = mode.lambda_n
+    if nu < 1.0 and np.any(np.asarray(t) <= 0):
         raise SingularTime("dA/dt diverges like t**(nu-1) at t = 0")
-    root = omega ** (1.0 / nu)
-    a = specfun.ml_complex_decomposed(omega, Sign.MINUS_I, cfg.nu, t, tol)
-    rho = omega * cfg.nu.i_pow(Sign.MINUS_I)
-    if nu == 1.0:
-        dfdt = 0.0 + 0j
-    else:
-        dfdt = specfun.f_nu_time_derivative(
-            specfun.DecayKernelSpec(rho, cfg.nu), t, tol)
+    root = lam ** (1.0 / nu)
+    a = specfun.ml_complex_decomposed(lam, Sign.MINUS_I, cfg.nu, t, tol)
+    rho = lam * cfg.nu.i_pow(Sign.MINUS_I)
+    dfdt = (0.0 if nu == 1.0
+            else specfun.f_nu_time_derivative(rho, cfg.nu, t, tol))
     return a.total, -1j * root * a.oscillatory - dfdt
 
 
-def well_memory_amplitude(mode: WellMode, cfg: RunConfig, t: float,
-                          a: complex, da: complex) -> complex:
+def well_memory_amplitude(mode: WellMode, cfg: RunConfig,
+                          t: float | np.ndarray, a: complex | np.ndarray,
+                          da: complex | np.ndarray) -> complex | np.ndarray:
     """Memory-weighted amplitude D**(1-nu) A in closed form.
 
     The recast first-order equation dA/dt = (lambda_n / i**nu)
     (D**(1-nu) A + A(0) t**(nu-1) / Gamma(nu)) with A(0) = 1 solves for it
-    from A(t) and dA/dt alone; at nu = 1 it is A itself.
+    from A(t) and dA/dt alone; at nu = 1 it is A itself.  Elementwise over
+    arrays of t, A and dA/dt.
     """
     nu = cfg.nu.nu
     if nu == 1.0:
@@ -354,11 +340,11 @@ def well_memory_amplitude(mode: WellMode, cfg: RunConfig, t: float,
             - t ** (nu - 1.0) / gamma(nu))
 
 
-def energy_level(mode: WellMode, cfg: RunConfig, t: float,
-                 tol: float = specfun.DEFAULT_TOL) -> complex:
-    """Time-dependent level E_n(t) = i conj(A) dA/dt (hbar = 1)."""
+def energy_level(mode: WellMode, cfg: RunConfig, t: float | np.ndarray,
+                 tol: float = specfun.DEFAULT_TOL) -> complex | np.ndarray:
+    """Time-dependent level E_n(t) = i conj(A) dA/dt (hbar = 1), per t."""
     a, da = well_amplitude_rate(mode, cfg, t, tol)
-    return complex(1j * np.conj(a) * da)
+    return 1j * a.conjugate() * da
 
 
 def energy_level_limit(mode: WellMode, cfg: RunConfig) -> float:
@@ -387,8 +373,7 @@ def hamiltonian_recast_residual(history: SampledSignal, sigma: float,
     with A'(0) taken from `initial_slope` or a one-sided difference; the
     i**nu factor flips to the numerator because the two-initial-condition
     evolution solves D**nu A = sigma i**nu A on the opposite ray.  sigma is
-    the total modal frequency (kinetic eigenvalue plus potential count over
-    T_p**nu).
+    the modal frequency, lambda_n for a well mode.
     """
     nu = cfg.nu.nu
     h = history.step
@@ -426,9 +411,7 @@ def well_amplitude_history(mode: WellMode, cfg: RunConfig, t_max: float,
     """A(t) sampled on the uniform grid [0, t_max] with step h."""
     n = int(round(t_max / h)) + 1
     times = np.linspace(0.0, t_max, n)
-    values = np.array([well_amplitude(mode, cfg, float(x), tol)
-                       for x in times])
-    return SampledSignal(times, values)
+    return SampledSignal(times, well_amplitude(mode, cfg, times, tol))
 
 
 # Continuity samples snap to this grid, t_k = round(t / step) * step: the
@@ -442,8 +425,8 @@ def well_continuity_series(mode: WellMode, cfg: RunConfig,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """dP/dt and the integrated source S, the two sides of continuity.
 
-    Each t is evaluated at t_k = round(t / 2.5e-3) * 2.5e-3.  There
-    dP/dt = 2 Re(conj(A) dA/dt) from `well_amplitude_rate`, and the
+    Each t is evaluated at t_k = round(t / 2.5e-3) * 2.5e-3, all of them in
+    one `well_amplitude_rate` call.  There dP/dt = 2 Re(conj(A) dA/dt), and the
     memory-weighted field entering S is the closed form
     (i**nu / lambda_n) dA/dt - t**(nu-1) / Gamma(nu) of
     `well_memory_amplitude` (A itself at nu = 1) times the mode shape.
@@ -455,14 +438,12 @@ def well_continuity_series(mode: WellMode, cfg: RunConfig,
     shape = well_shape(mode, x)
     init_cap = GridField(x, mode.lambda_n / cfg.nu.i_pow(Sign.PLUS_I) * shape)
 
-    dpdt = np.empty_like(sample_times)
+    t_k = np.round(sample_times / _CONTINUITY_STEP) * _CONTINUITY_STEP
+    a, da = well_amplitude_rate(mode, cfg, t_k, tol)
+    tilde = well_memory_amplitude(mode, cfg, t_k, a, da)
     int_s = np.empty_like(sample_times)
-    for j, ts in enumerate(sample_times):
-        t_k = round(ts / _CONTINUITY_STEP) * _CONTINUITY_STEP
-        a, da = well_amplitude_rate(mode, cfg, t_k, tol)
-        tilde = well_memory_amplitude(mode, cfg, t_k, a, da)
-        s = source_term(GridField(x, a * shape), GridField(x, tilde * shape),
-                        init_cap, cfg, t_k)
-        dpdt[j] = 2.0 * (np.conj(a) * da).real
+    for j, t in enumerate(t_k.tolist()):
+        s = source_term(GridField(x, a[j] * shape),
+                        GridField(x, tilde[j] * shape), init_cap, cfg, t)
         int_s[j] = np.trapezoid(s.values.real, x)
-    return dpdt, int_s
+    return 2.0 * (np.conj(a) * da).real, int_s

@@ -135,26 +135,34 @@ def erfc_closed_form(z: float) -> float:
     return math.exp(-z * z) / _SQRT_PI / (z + f)
 
 
+_RGAMMA: dict[tuple[float, int], list] = {}   # 1/Gamma(nu*k + 1) by (nu, dps)
+
+
 def ml_series_reference(sigma: float, sign: int, order: FractionalOrder,
                         t: float, dps: int = 50) -> complex:
     """E_nu(sigma*(+-i)**nu * t**nu) by arbitrary-precision summation.
 
     `sign` is +1 or -1 for the two rays.  Works where float64 summation
     cancels catastrophically; used to arbitrate the decomposition at large
-    arguments.
+    arguments.  It sums by Horner's rule over cached 1/Gamma values, with
+    the term count fixed up front by a float lgamma bound: past the largest
+    term and below 10**-dps in size.
     """
     with mpmath.workdps(dps):
         nu = mpmath.mpf(order.nu)
         z = mpmath.mpc(sigma) * mpmath.exp(sign * 1j * mpmath.pi * nu / 2) \
             * mpmath.mpf(t) ** nu
-        total = mpmath.mpc(0)
-        term = mpmath.mpc(1)
-        zn = mpmath.mpc(1)
-        for n in range(1, 2001):
-            total += term
-            zn *= z
-            term = zn / mpmath.gamma(nu * n + 1)
-            if abs(term) < mpmath.mpf(10) ** (-dps) * max(abs(total), 1):
-                total += term
-                break
+        abs_z = float(abs(z))
+        if abs_z == 0.0:
+            return 1.0 + 0j
+        n = int(abs_z ** (1.0 / order.nu) / order.nu) + 2
+        while (n * math.log(abs_z) - math.lgamma(order.nu * n + 1.0)
+               > -dps * math.log(10.0)):
+            n += 1
+        coef = _RGAMMA.setdefault((order.nu, dps), [])
+        for k in range(len(coef), n):
+            coef.append(mpmath.rgamma(nu * k + 1))
+        total = mpmath.mpc(coef[n - 1])
+        for k in range(n - 2, -1, -1):
+            total = total * z + coef[k]
         return complex(total)

@@ -9,7 +9,8 @@ into a unit-frequency oscillation divided by nu and a monotone decay kernel
 
 where F is a semi-infinite branch-cut integral.  This module evaluates the
 power series, the decay kernel, the decomposition and the two-initial-condition
-solution for orders in (1, 2].
+solution for orders in (1, 2].  All but the series take scalars or arrays of
+points that broadcast together; one loop, `_each`, visits every point.
 
 Branch conventions (fixed throughout the package): i**nu = exp(i*pi*nu/2),
 (-i)**nu = exp(-i*pi*nu/2), and sigma**(1/nu) is the positive real root.
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -78,24 +80,13 @@ class FractionalOrder:
 
 
 @dataclass(frozen=True)
-class DecayKernelSpec:
-    """Parameters (rho, nu) of the decay kernel integral."""
-
-    rho: complex
-    order: FractionalOrder
-
-    def __post_init__(self):
-        if not cmath.isfinite(complex(self.rho)):
-            raise ValueError(f"rho must be finite, got {self.rho!r}")
-
-
-@dataclass(frozen=True)
 class MlDecomposition:
-    """Oscillatory term, decay term and their difference."""
+    """Oscillatory term, decay term and their difference, each a complex
+    scalar or an array of the evaluation shape."""
 
-    oscillatory: complex
-    decay: complex
-    total: complex
+    oscillatory: complex | np.ndarray
+    decay: complex | np.ndarray
+    total: complex | np.ndarray
 
 
 def ml_series(z: complex, order: FractionalOrder,
@@ -242,39 +233,75 @@ def _cut_integral(rho: complex, nu: float, t: float, p: int,
     return prefac * (val + tail)
 
 
-def f_nu(spec: DecayKernelSpec, t: float, tol: float = DEFAULT_TOL) -> complex:
-    """Decay kernel F(rho, t): branch-cut integral of the ML decomposition.
+def _each(kernel, *args) -> complex | np.ndarray:
+    """kernel(*point), with Python scalars, at every point of the broadcast
+    arguments: the one loop over points behind the evaluators below.
+    Scalars give a complex scalar, arrays a complex array of their shape."""
+    arrays = np.broadcast_arrays(*args)
+    points = zip(*(a.ravel().tolist() for a in arrays))
+    out = np.array([kernel(*p) for p in points], dtype=complex)
+    out = out.reshape(arrays[0].shape)
+    return complex(out[()]) if out.ndim == 0 else out
 
-    Defined as (rho*sin(nu*pi)/pi) * integral over r in (0, inf) of
-    exp(-r*t) * r**(nu-1) / (r**(2 nu) - 2 rho cos(nu pi) r**nu + rho**2).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+
+def _checked(tol: float, **points: ArrayLike) -> list[np.ndarray]:
+    """The point arguments as float arrays, checked before any quadrature:
+    tol must be positive and no element negative."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = complex(spec.rho)
-    nu = spec.order.nu
+    arrays = [np.asarray(x, dtype=float) for x in points.values()]
+    for name, x in zip(points, arrays):
+        if np.any(x < 0):
+            raise ValueError(f"{name} must be nonnegative")
+    return arrays
+
+
+def _finite(rho: complex) -> complex:
+    rho = complex(rho)
+    if not cmath.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho!r}")
+    return rho
+
+
+def _f_point(rho: complex, nu: float, t: float, tol: float) -> complex:
+    """F(rho, t) at one point: the cut integral, or its closed form at 0."""
     if t > 0.0:
         return _cut_integral(rho, nu, t, 0, tol)
     if rho == 0 or abs(math.sin(math.pi * nu)) < 1e-14:
         return 0.0 + 0j
     _check_roots_off_axis(rho, nu)
-    # Closed form.  On the principal sheet this is (1-nu)/nu; each
-    # denominator root that has wound past the integration ray shifts the
-    # literal integral by 1/nu.
+    # On the principal sheet this is (1-nu)/nu; each denominator root that
+    # has wound past the integration ray shifts the literal integral by 1/nu.
     return complex((1.0 - nu) / nu + _axis_crossings(rho, nu) / nu)
 
 
-def f_nu_time_derivative(spec: DecayKernelSpec, t: float,
-                         tol: float = DEFAULT_TOL) -> complex:
+def f_nu(rho: complex, order: FractionalOrder, t: ArrayLike,
+         tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+    """Decay kernel F(rho, t): branch-cut integral of the ML decomposition.
+
+    Defined as (rho*sin(nu*pi)/pi) * integral over r in (0, inf) of
+    exp(-r*t) * r**(nu-1) / (r**(2 nu) - 2 rho cos(nu pi) r**nu + rho**2).
+    rho is one finite complex value; t >= 0 is a scalar or an array, and
+    the result has its shape.
+    """
+    rho = _finite(rho)
+    (t,) = _checked(tol, t=t)
+    return _each(lambda x: _f_point(rho, order.nu, x, tol), t)
+
+
+def f_nu_time_derivative(rho: complex, order: FractionalOrder, t: ArrayLike,
+                         tol: float = DEFAULT_TOL) -> complex | np.ndarray:
     """d/dt of the decay kernel, by differentiating under the integral.
 
     The differentiation multiplies the integrand by -r; without the
-    exponential factor the integral diverges, so t must be positive.
+    exponential factor the integral diverges, so every t must be positive.
+    Broadcasts over t like `f_nu`.
     """
-    if t <= 0:
+    rho = _finite(rho)
+    if np.any(np.asarray(t) <= 0):
         raise SingularTime("kernel time derivative is undefined at t = 0")
-    return _cut_integral(complex(spec.rho), spec.order.nu, t, 1, tol)
+    (t,) = _checked(tol, t=t)
+    return _each(lambda x: _cut_integral(rho, order.nu, x, 1, tol), t)
 
 
 def _poles(sigma: float, order: FractionalOrder, sign: Sign) -> list[complex]:
@@ -293,30 +320,27 @@ def _poles(sigma: float, order: FractionalOrder, sign: Sign) -> list[complex]:
     return poles
 
 
-def ml_complex_decomposed(sigma: float, sign: Sign, order: FractionalOrder,
-                          t: float, tol: float = DEFAULT_TOL) -> MlDecomposition:
+def ml_complex_decomposed(sigma: ArrayLike, sign: Sign, order: FractionalOrder,
+                          t: ArrayLike,
+                          tol: float = DEFAULT_TOL) -> MlDecomposition:
     """E_nu(sigma*(+-i)**nu * t**nu) as oscillation minus decay.
 
-    Requires an order in (0, 1].  sigma = 0 collapses the pole onto the
-    branch point, so that case bypasses the decomposition and returns the
-    series value E_nu(0) = 1.
+    Requires an order in (0, 1].  sigma >= 0 and t >= 0 broadcast against
+    each other; the three fields of the result have the broadcast shape
+    (complex scalars when both are scalars).  sigma = 0 collapses the pole
+    onto the branch point, so such points bypass the decomposition and
+    take E_nu(0) = 1 as oscillation with zero decay.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    sigma, t = _checked(tol, sigma=sigma, t=t)
     if order.regime is not Regime.SUB_UNIT:
         raise InvalidOrder("decomposition requires an order in (0, 1]")
-    if sigma == 0.0:
-        one = ml_series(0.0, order, tol)
-        return MlDecomposition(oscillatory=one, decay=0.0 + 0j, total=one)
-
     nu = order.nu
-    osc = np.exp(sign.value * 1j * sigma ** (1.0 / nu) * t) / nu
-    rho = sigma * order.i_pow(sign)
-    decay = f_nu(DecayKernelSpec(rho, order), t, tol)
-    return MlDecomposition(oscillatory=complex(osc), decay=decay,
-                           total=complex(osc) - decay)
+    ipow = order.i_pow(sign)
+    osc = _each(lambda s, x: 1.0 + 0j if s == 0.0 else complex(
+        np.exp(sign.value * 1j * s ** (1.0 / nu) * x) / nu), sigma, t)
+    # rho = 0 gives F = 0 without quadrature.
+    dec = _each(lambda s, x: _f_point(complex(s * ipow), nu, x, tol), sigma, t)
+    return MlDecomposition(oscillatory=osc, decay=dec, total=osc - dec)
 
 
 def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
@@ -334,30 +358,34 @@ def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
 
     osc0 = sum(np.exp(s * t) for s in poles) / nu
     osc1 = sum(np.exp(s * t) / s for s in poles) / nu
-    dec0 = f_nu(DecayKernelSpec(rho, order), t, tol)
+    dec0 = _f_point(rho, nu, t, tol)
     dec1 = _cut_integral(rho, nu, t, -1, tol)
     return complex(osc0) - dec0, complex(osc1) - dec1
 
 
-def ml_two_ic(sigma: float, order: FractionalOrder, a0: complex, a1: complex,
-              t: float, tol: float = DEFAULT_TOL) -> complex:
+def ml_two_ic(sigma: ArrayLike, order: FractionalOrder, a0: ArrayLike,
+              a1: ArrayLike, t: ArrayLike,
+              tol: float = DEFAULT_TOL) -> complex | np.ndarray:
     """Solution of the order-nu Caputo problem with two initial values.
 
     Solves D**nu A = sigma * i**nu * A with A(0) = a0 and A'(0) = a1 for
-    orders in (1, 2].  The exponent sign e^{+i sigma^{1/nu} t} follows the
-    residue at the principal pole and is confirmed by the "two-IC exponent
-    sign" check of `tfse.verify`.
+    orders in (1, 2].  sigma >= 0, a0, a1 and t >= 0 broadcast against each
+    other, and the result has their shape.  The exponent sign
+    e^{+i sigma^{1/nu} t} follows the residue at the principal pole and is
+    confirmed by the "two-IC exponent sign" check of `tfse.verify`.
     """
     if order.regime is not Regime.SUPER_UNIT:
         raise InvalidOrder("two-initial-condition solution needs nu in (1, 2]")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if a0 == 0 and a1 == 0:
-        return 0.0 + 0j
-    if sigma == 0.0:
-        # D**nu annihilates affine functions for nu > 1.
-        return complex(a0) + complex(a1) * t
-    c0, c1 = _two_ic_coefficients(sigma, order, t, tol)
-    return complex(a0) * c0 + complex(a1) * c1
+    sigma, t = _checked(tol, sigma=sigma, t=t)
+
+    def point(s, b0, b1, x):
+        if b0 == 0 and b1 == 0:
+            return 0.0 + 0j
+        if s == 0.0:
+            # D**nu annihilates affine functions for nu > 1.
+            return b0 + b1 * x
+        c0, c1 = _two_ic_coefficients(s, order, x, tol)
+        return b0 * c0 + b1 * c1
+
+    return _each(point, sigma, np.asarray(a0, dtype=complex),
+                 np.asarray(a1, dtype=complex), t)

@@ -19,7 +19,7 @@ from scipy.special import gamma as sp_gamma
 
 from . import dynamics, fraccalc, oracles, specfun
 from .fraccalc import SampledSignal
-from .specfun import DecayKernelSpec, FractionalOrder, Sign
+from .specfun import FractionalOrder, Sign
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,14 @@ def _fitted_order(steps, errors) -> float:
 
 def _check_series_vs_decomposition() -> CheckResult:
     times = np.union1d(np.linspace(0.0, 3.0, 20), np.linspace(0.0, 5.0, 50))
+    sigmas = (0.5, 1.0, 2.0)
     worst = 0.0
     for nu in (0.3, 0.5, 0.7, 0.9):
         order = FractionalOrder(nu)
-        for sigma in (0.5, 1.0, 2.0):
-            for t in times:
-                dec = specfun.ml_complex_decomposed(sigma, Sign.MINUS_I,
-                                                    order, float(t))
+        dec = specfun.ml_complex_decomposed(np.array(sigmas)[:, None],
+                                            Sign.MINUS_I, order, times)
+        for i, sigma in enumerate(sigmas):
+            for j, t in enumerate(times):
                 z = sigma * order.i_pow(Sign.MINUS_I) * t ** nu
                 try:
                     ref = specfun.ml_series(z, order, tol=1e-12)
@@ -67,7 +68,7 @@ def _check_series_vs_decomposition() -> CheckResult:
                     # arbitrary-precision reference arbitrates instead.
                     ref = oracles.ml_series_reference(sigma, -1, order,
                                                       float(t))
-                worst = max(worst, abs(dec.total - ref))
+                worst = max(worst, abs(dec.total[i, j] - ref))
     return CheckResult("series vs decomposition", worst, 1e-6)
 
 
@@ -82,23 +83,18 @@ def _kernel_curves():
     for nu in _KERNEL_ORDERS:
         order = FractionalOrder(nu)
         for rho in _KERNEL_RHOS:
-            spec = DecayKernelSpec(rho, order)
-            vals = np.array([specfun.f_nu(spec, float(t)).real
-                             for t in _KERNEL_TIMES])
-            yield (1.0 - nu) / nu, vals
+            yield (1.0 - nu) / nu, specfun.f_nu(rho, order, _KERNEL_TIMES).real
 
 
 def _check_kernel_closed_forms() -> CheckResult:
     worst = 0.0
     for nu in _KERNEL_ORDERS:
         order = FractionalOrder(nu)
-        worst = max(worst, abs(specfun.f_nu(DecayKernelSpec(0.0, order),
-                                            1.0)))
+        worst = max(worst, abs(specfun.f_nu(0.0, order, 1.0)))
         for rho in _KERNEL_RHOS:
-            worst = max(worst, abs(specfun.f_nu(DecayKernelSpec(rho, order),
-                                                0.0) - (1.0 - nu) / nu))
-    worst = max(worst, abs(specfun.f_nu(
-        DecayKernelSpec(1.0, FractionalOrder(1.0)), 3.0)))
+            worst = max(worst, abs(specfun.f_nu(rho, order, 0.0)
+                                   - (1.0 - nu) / nu))
+    worst = max(worst, abs(specfun.f_nu(1.0, FractionalOrder(1.0), 3.0)))
     return CheckResult("decay kernel closed forms", worst, 1e-10)
 
 
@@ -132,11 +128,12 @@ def _check_inversion_oracle() -> CheckResult:
         order = FractionalOrder(nu)
         for sigma in (0.5, 1.0, 2.0):
             spec = oracles.InversionSpec(sigma, order)
-            for t in np.linspace(0.3, 4.0, 10):
+            times = np.linspace(0.3, 4.0, 10)
+            dec = specfun.ml_complex_decomposed(sigma, Sign.PLUS_I, order,
+                                                times)
+            for t, total in zip(times, dec.total):
                 ora = oracles.laplace_invert_ml(spec, float(t))
-                dec = specfun.ml_complex_decomposed(sigma, Sign.PLUS_I,
-                                                    order, float(t))
-                worst = max(worst, abs(ora - dec.total))
+                worst = max(worst, abs(ora - total))
     return CheckResult("inversion oracle agreement", worst, 1e-6)
 
 
@@ -174,8 +171,7 @@ def _check_two_ic_exponent_sign() -> CheckResult:
     order = FractionalOrder(1.5)
     h = 1e-3
     times = np.arange(0.0, 1.0 + h / 2, h)
-    vals = np.array([specfun.ml_two_ic(1.0, order, 1.0, 0.0, float(t))
-                     for t in times])
+    vals = specfun.ml_two_ic(1.0, order, 1.0, 0.0, times)
     flipped = vals - (np.exp(1j * times) - np.exp(-1j * times)) / order.nu
     rho = order.i_pow()
 
@@ -256,7 +252,7 @@ def _check_unit_order_reduction() -> CheckResult:
     for t in (0.5, 2.0, 7.0):
         amp = dynamics.well_amplitude(mode, cfg, t)
         worst = max(worst, abs(abs(amp) - 1.0),
-                    abs(dynamics.energy_level(mode, cfg, t) - mode.omega_n))
+                    abs(dynamics.energy_level(mode, cfg, t) - mode.lambda_n))
         f = dynamics.GridField(x, amp * shape)
         s = dynamics.source_term(f, f, zero, cfg, t)
         worst = max(worst, float(abs(np.trapezoid(s.values.real, x))))
@@ -279,10 +275,9 @@ def _check_well_envelope() -> CheckResult:
     cfg, mode = _well(0.5)
     period = 2.0 * math.pi  # sigma = 1, so the carrier frequency is 1
     centers = np.logspace(2.0, 4.0, 10)
-    gaps = [max(abs(abs(dynamics.well_amplitude(mode, cfg, float(t))) ** 2
-                    - 4.0)
-                for t in tc + np.linspace(0.0, period, 16, endpoint=False))
-            for tc in centers]
+    times = centers[:, None] + np.linspace(0.0, period, 16, endpoint=False)
+    amps = dynamics.well_amplitude(mode, cfg, times)
+    gaps = np.abs(np.abs(amps) ** 2 - 4.0).max(axis=1)
     return CheckResult("well probability envelope slope",
                        abs(_fitted_order(centers, gaps) + 0.5), 0.15)
 
@@ -338,7 +333,7 @@ def _check_caputo_residual_order() -> CheckResult:
 def _check_recast_residual() -> CheckResult:
     cfg, mode = _well(0.5)
     hist = dynamics.well_amplitude_history(mode, cfg, 2.0, 1e-3)
-    res = dynamics.hamiltonian_recast_residual(hist, mode.omega_n, cfg,
+    res = dynamics.hamiltonian_recast_residual(hist, mode.lambda_n, cfg,
                                                window=(0.1, 2.0))
     return CheckResult("recast first-order residual", res.max_abs, 5e-3)
 

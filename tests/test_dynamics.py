@@ -184,7 +184,7 @@ class TestDiagnostics:
         mode = dynamics.well_mode(1, math.pi, cfg)
         for t in (0.5, 4.0):
             level = dynamics.energy_level(mode, cfg, t)
-            assert level == pytest.approx(mode.omega_n, abs=1e-10)
+            assert level == pytest.approx(mode.lambda_n, abs=1e-10)
 
     def test_energy_level_limit_value(self):
         cfg = cfg_of(0.5)
@@ -211,7 +211,7 @@ class TestRecastResidual:
         cfg = cfg_of(1.0)
         mode = dynamics.well_mode(1, math.pi, cfg)
         hist = dynamics.well_amplitude_history(mode, cfg, 2.0, 1e-3)
-        res = dynamics.hamiltonian_recast_residual(hist, mode.omega_n, cfg,
+        res = dynamics.hamiltonian_recast_residual(hist, mode.lambda_n, cfg,
                                                    window=(0.1, 2.0))
         assert res.max_abs < 1e-5
 

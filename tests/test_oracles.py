@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc as scipy_erfc
@@ -101,6 +102,24 @@ class TestSeriesReference:
             ref = oracles.ml_series_reference(sigma, -1, order, t)
             dec = ml_complex_decomposed(sigma, Sign.MINUS_I, order, t)
             assert abs(ref - dec.total) < 1e-9
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("sigma,t", [(0.5, 0.3), (1.0, 4.0), (2.0, 5.0),
+                                         (3.0, 4.0)])
+    def test_half_order_closed_form(self, sign, sigma, t):
+        # E_{1/2}(z) = exp(z**2) erfc(-z); at sigma 3, t 4 the series cancels
+        # terms of size exp(36).
+        ref = oracles.ml_series_reference(sigma, sign, FractionalOrder(0.5), t)
+        with mpmath.workdps(30):
+            z = sigma * mpmath.expjpi(mpmath.mpf(sign) / 4) * mpmath.sqrt(t)
+            want = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
+        assert ref == pytest.approx(want, rel=1e-13)
+
+    def test_zero_argument(self):
+        assert oracles.ml_series_reference(0.0, -1, FractionalOrder(0.4),
+                                           2.0) == 1.0
+        assert oracles.ml_series_reference(1.5, +1, FractionalOrder(0.4),
+                                           0.0) == 1.0
 
     def test_unit_order(self):
         ref = oracles.ml_series_reference(1.0, +1, FractionalOrder(1.0), 2.0)

@@ -12,9 +12,9 @@ from tfse.errors import (
     InvalidOrder,
     NonConvergence,
     QuadratureFailure,
+    SingularTime,
 )
 from tfse.specfun import (
-    DecayKernelSpec,
     FractionalOrder,
     Regime,
     Sign,
@@ -87,57 +87,54 @@ class TestSeries:
 
 class TestDecayKernel:
     def test_zero_rho(self):
-        spec = DecayKernelSpec(0.0, FractionalOrder(0.5))
-        assert specfun.f_nu(spec, 1.0) == 0.0
+        assert specfun.f_nu(0.0, FractionalOrder(0.5), 1.0) == 0.0
 
     def test_integer_order_vanishes(self):
-        spec = DecayKernelSpec(1.0, FractionalOrder(1.0))
-        assert specfun.f_nu(spec, 2.0) == 0.0
+        assert specfun.f_nu(1.0, FractionalOrder(1.0), 2.0) == 0.0
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_initial_value_closed_form(self, nu, rho):
-        spec = DecayKernelSpec(rho, FractionalOrder(nu))
         want = (1.0 - nu) / nu
-        assert specfun.f_nu(spec, 0.0) == pytest.approx(want, abs=1e-12)
+        assert specfun.f_nu(rho, FractionalOrder(nu), 0.0) == pytest.approx(
+            want, abs=1e-12)
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
     def test_monotone_decay_real_rho(self, nu):
-        spec = DecayKernelSpec(1.0, FractionalOrder(nu))
         times = np.linspace(0.0, 20.0, 40)
-        vals = np.array([specfun.f_nu(spec, float(t)).real for t in times])
+        vals = np.array([specfun.f_nu(1.0, FractionalOrder(nu), float(t)).real
+                         for t in times])
         assert np.all(np.diff(vals) <= 1e-12)
         assert vals[0] == pytest.approx((1.0 - nu) / nu, abs=1e-10)
 
     def test_rejects_negative_time(self):
-        spec = DecayKernelSpec(1.0, FractionalOrder(0.5))
         with pytest.raises(ValueError):
-            specfun.f_nu(spec, -1.0)
+            specfun.f_nu(1.0, FractionalOrder(0.5), -1.0)
 
     @pytest.mark.parametrize("rho", [complex("inf"), complex("nan"),
                                      float("inf"), complex(1.0, math.nan)])
     def test_spec_rejects_nonfinite_rho(self, rho):
         with pytest.raises(ValueError):
-            DecayKernelSpec(rho, FractionalOrder(0.5))
+            specfun.f_nu(rho, FractionalOrder(0.5), 1.0)
 
     @pytest.mark.parametrize("nu", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("sigma", [0.5, 4.0])
     def test_time_derivative_matches_centred_difference(self, nu, sigma):
         order = FractionalOrder(nu)
-        spec = DecayKernelSpec(sigma * order.i_pow(Sign.MINUS_I), order)
+        rho = sigma * order.i_pow(Sign.MINUS_I)
         h = 1e-4
         for t in (0.5, 3.0, 20.0):
-            diff = (specfun.f_nu(spec, t + h)
-                    - specfun.f_nu(spec, t - h)) / (2.0 * h)
-            assert specfun.f_nu_time_derivative(spec, t) == pytest.approx(
-                diff, abs=1e-6)
+            diff = (specfun.f_nu(rho, order, t + h)
+                    - specfun.f_nu(rho, order, t - h)) / (2.0 * h)
+            assert specfun.f_nu_time_derivative(rho, order, t) \
+                == pytest.approx(diff, abs=1e-6)
 
     def test_root_on_axis_raises(self):
         # nu = 4/3 on the physics ray puts a denominator root on the cut.
         order = FractionalOrder(4.0 / 3.0)
         rho = 1.0 * order.i_pow(Sign.PLUS_I)
         with pytest.raises(DenominatorSingularity):
-            specfun.f_nu(DecayKernelSpec(rho, order), 1.0)
+            specfun.f_nu(rho, order, 1.0)
 
 
 class TestDecomposition:
@@ -227,20 +224,126 @@ class TestQuadratureFailure:
 
         monkeypatch.setattr(specfun, "quad", quad_reporting_large_error)
 
-    def spec(self):
+    def kernel_args(self):
         order = FractionalOrder(0.5)
-        return DecayKernelSpec(order.i_pow(Sign.MINUS_I), order)
+        return order.i_pow(Sign.MINUS_I), order
 
     def test_decay_kernel(self):
         with pytest.raises(QuadratureFailure):
-            specfun.f_nu(self.spec(), 1.0)
+            specfun.f_nu(*self.kernel_args(), 1.0)
 
     def test_time_derivative(self):
         with pytest.raises(QuadratureFailure):
-            specfun.f_nu_time_derivative(self.spec(), 1.0)
+            specfun.f_nu_time_derivative(*self.kernel_args(), 1.0)
 
     def test_two_ic_slope_term(self, monkeypatch):
         # Keep the a0 kernel out of the way, so only the a1 term can raise.
-        monkeypatch.setattr(specfun, "f_nu", lambda spec, t, tol: 0j)
+        monkeypatch.setattr(specfun, "_f_point", lambda rho, nu, t, tol: 0j)
         with pytest.raises(QuadratureFailure):
             ml_two_ic(1.0, FractionalOrder(1.5), 0.0, 1.0, 1.0)
+
+
+def _sample(seed):
+    """Seeded points: nu in [0.2, 1], sigma log-uniform in [0.1, 64] plus an
+    exact 0, t in [0, 50] plus an exact 0."""
+    rng = np.random.default_rng(seed)
+    nus = rng.uniform(0.2, 1.0, 2)
+    sigma = np.append(0.0, np.exp(rng.uniform(math.log(0.1), math.log(64.0),
+                                              5)))
+    t = np.append(0.0, rng.uniform(0.0, 50.0, 5))
+    return nus, sigma, t
+
+
+class TestBroadcasting:
+    """Array calls equal the list of scalar calls, point by point."""
+
+    @pytest.mark.parametrize("sign", [Sign.PLUS_I, Sign.MINUS_I])
+    def test_decomposition_matches_scalar_calls(self, sign):
+        nus, sigma, t = _sample(11)
+        for nu in nus:
+            order = FractionalOrder(float(nu))
+            d = ml_complex_decomposed(sigma[:, None], sign, order, t)
+            for field in ("oscillatory", "decay", "total"):
+                want = [[getattr(ml_complex_decomposed(s, sign, order, x),
+                                 field) for x in t.tolist()]
+                        for s in sigma.tolist()]
+                assert np.array_equal(getattr(d, field), np.array(want))
+
+    @pytest.mark.parametrize("sign", [Sign.PLUS_I, Sign.MINUS_I])
+    def test_kernels_match_scalar_calls(self, sign):
+        nus, sigma, t = _sample(12)
+        for nu in nus:
+            order = FractionalOrder(float(nu))
+            rho = sigma[-1] * order.i_pow(sign)
+            want = [specfun.f_nu(rho, order, x) for x in t.tolist()]
+            assert np.array_equal(specfun.f_nu(rho, order, t), want)
+            later = t[t > 0]
+            want = [specfun.f_nu_time_derivative(rho, order, x)
+                    for x in later.tolist()]
+            assert np.array_equal(
+                specfun.f_nu_time_derivative(rho, order, later), want)
+
+    def test_two_ic_matches_scalar_calls(self):
+        _, sigma, t = _sample(13)
+        rng = np.random.default_rng(14)
+        a0 = rng.normal(size=sigma.size) + 1j * rng.normal(size=sigma.size)
+        a1 = rng.normal(size=sigma.size) + 1j * rng.normal(size=sigma.size)
+        a0[1] = a1[1] = 0.0    # a zero node next to the sigma = 0 node
+        times = t[:3, None]
+        for nu in (1.2, 1.5, 1.9):
+            order = FractionalOrder(nu)
+            got = ml_two_ic(sigma, order, a0, a1, times)
+            want = [[ml_two_ic(s, order, b0, b1, x)
+                     for s, b0, b1 in zip(sigma.tolist(), a0.tolist(),
+                                          a1.tolist())]
+                    for x in times.ravel().tolist()]
+            assert got.shape == (3, sigma.size)
+            assert np.array_equal(got, np.array(want))
+            assert np.all(got[:, 1] == 0)
+            assert np.array_equal(got[:, 0], a0[0] + a1[0] * times.ravel())
+
+    def test_outer_shape(self):
+        order = FractionalOrder(0.5)
+        sigma = np.array([[0.5], [1.0], [2.0]])
+        t = np.array([0.0, 0.5, 1.0, 2.0])
+        d = ml_complex_decomposed(sigma, Sign.MINUS_I, order, t)
+        for field in (d.oscillatory, d.decay, d.total):
+            assert field.shape == (3, 4)
+        assert ml_complex_decomposed(1.0, Sign.MINUS_I, order,
+                                     np.array([])).total.shape == (0,)
+
+    def test_scalars_give_complex(self):
+        order = FractionalOrder(0.5)
+        d = ml_complex_decomposed(1.0, Sign.MINUS_I, order, 1.0)
+        rho = order.i_pow(Sign.MINUS_I)
+        values = [d.oscillatory, d.decay, d.total,
+                  specfun.f_nu(rho, order, 1.0),
+                  specfun.f_nu_time_derivative(rho, order, 1.0),
+                  ml_two_ic(1.0, FractionalOrder(1.5), 1.0, 0.5, 1.0)]
+        assert all(type(v) is complex for v in values)
+
+    def test_bad_element_raises_before_any_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called before the input checks")
+
+        monkeypatch.setattr(specfun, "quad", no_quad)
+        sub, sup = FractionalOrder(0.5), FractionalOrder(1.5)
+        rho = sub.i_pow(Sign.MINUS_I)
+        bad_t = np.array([1.0, 2.0, -1e-9])
+        bad_sigma = np.array([1.0, 2.0, -1e-9])
+        with pytest.raises(ValueError):
+            ml_complex_decomposed(1.0, Sign.MINUS_I, sub, bad_t)
+        with pytest.raises(ValueError):
+            ml_complex_decomposed(bad_sigma, Sign.MINUS_I, sub, 1.0)
+        with pytest.raises(ValueError):
+            ml_two_ic(1.0, sup, 1.0, 0.0, bad_t)
+        with pytest.raises(ValueError):
+            ml_two_ic(bad_sigma, sup, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            specfun.f_nu(rho, sub, bad_t)
+        with pytest.raises(ValueError):
+            specfun.f_nu(complex("nan"), sub, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            ml_complex_decomposed(1.0, Sign.MINUS_I, sub, [1.0, 2.0], tol=0.0)
+        with pytest.raises(SingularTime):
+            specfun.f_nu_time_derivative(rho, sub, np.array([1.0, 0.0]))
