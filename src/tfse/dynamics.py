@@ -399,10 +399,7 @@ def hamiltonian_recast_residual(history: SampledSignal, sigma: float,
     mask = (t >= window[0]) & (t <= window[1])
     if not mask.any():
         raise ValueError("window excludes every node")
-    windowed = per_node[mask]
-    return OperatorResidual(max_abs=float(np.abs(windowed).max()),
-                            l2=float(np.sqrt(h * np.sum(np.abs(windowed) ** 2))),
-                            per_node=windowed)
+    return OperatorResidual(max_abs=float(np.abs(per_node[mask]).max()))
 
 
 def well_amplitude_history(mode: WellMode, cfg: RunConfig, t_max: float,

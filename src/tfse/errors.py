@@ -19,7 +19,7 @@ class QuadratureFailure(TfseError):
 class DenominatorSingularity(TfseError):
     """A root of the kernel denominator sits too close to the integration ray.
 
-    Only possible for orders in (1, 2]; occurs in a narrow window around 4/3.
+    On the rays sigma*(+-i)**nu only orders within about 0.014 of 4/3 raise it.
     """
 
 

@@ -146,22 +146,31 @@ def ml_series_reference(sigma: float, sign: int, order: FractionalOrder,
     cancels catastrophically; used to arbitrate the decomposition at large
     arguments.  It sums by Horner's rule over cached 1/Gamma values, with
     the term count fixed up front by a float lgamma bound: past the largest
-    term and below 10**-dps in size.
+    term and below 10**-dps in size.  The sum cancels terms as large as the
+    largest one, so it runs at dps plus that term's digits.
     """
-    with mpmath.workdps(dps):
-        nu = mpmath.mpf(order.nu)
-        z = mpmath.mpc(sigma) * mpmath.exp(sign * 1j * mpmath.pi * nu / 2) \
-            * mpmath.mpf(t) ** nu
-        abs_z = float(abs(z))
-        if abs_z == 0.0:
-            return 1.0 + 0j
-        n = int(abs_z ** (1.0 / order.nu) / order.nu) + 2
-        while (n * math.log(abs_z) - math.lgamma(order.nu * n + 1.0)
-               > -dps * math.log(10.0)):
-            n += 1
-        coef = _RGAMMA.setdefault((order.nu, dps), [])
+    nu = order.nu
+    abs_z = sigma * t ** nu
+    if abs_z == 0.0:
+        return 1.0 + 0j
+
+    def log_term(k):
+        return k * math.log(abs_z) - math.lgamma(nu * k + 1.0)
+
+    n = int(abs_z ** (1.0 / nu) / nu) + 2
+    while log_term(n) > -dps * math.log(10.0):
+        n += 1
+    # Carry the digits of the largest term too, in steps of 10 so that few
+    # precisions share the 1/Gamma cache.
+    digits = max(map(log_term, range(n))) / math.log(10.0)
+    work = dps + 10 * math.ceil(digits / 10.0)
+    with mpmath.workdps(work):
+        mp_nu = mpmath.mpf(nu)
+        z = mpmath.mpc(sigma) * mpmath.exp(sign * 1j * mpmath.pi * mp_nu / 2) \
+            * mpmath.mpf(t) ** mp_nu
+        coef = _RGAMMA.setdefault((nu, work), [])
         for k in range(len(coef), n):
-            coef.append(mpmath.rgamma(nu * k + 1))
+            coef.append(mpmath.rgamma(mp_nu * k + 1))
         total = mpmath.mpc(coef[n - 1])
         for k in range(n - 2, -1, -1):
             total = total * z + coef[k]

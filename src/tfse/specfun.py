@@ -39,9 +39,9 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 SERIES_TERM_CAP = 200
 
-# Angular margin (radians) around the positive real axis / branch cut inside
-# which kernel quadrature and pole bookkeeping refuse to proceed.  Translates
-# to rejecting orders within roughly 0.015 of 4/3.
+# `_poles` refuses a root of s**nu = rho within asin(AXIS_MARGIN)/min(nu, 1)
+# radians of the branch cut |arg s| = pi.  On the rays sigma*(+-i)**nu that
+# rejects orders in (1.3193, 1.3476), in `f_nu` and `ml_two_ic` alike.
 AXIS_MARGIN = 0.05
 
 
@@ -128,28 +128,28 @@ def ml_series(z: complex, order: FractionalOrder,
         f"tol={tol:g} within {SERIES_TERM_CAP} terms")
 
 
-def _denominator_roots(rho: complex, nu: float) -> tuple[complex, complex]:
-    # Roots of v**2 - 2*rho*cos(nu*pi)*v + rho**2 in v = r**nu.
-    return rho * np.exp(1j * math.pi * nu), rho * np.exp(-1j * math.pi * nu)
+def _poles(rho: complex, nu: float) -> list[complex]:
+    """Roots of s**nu = rho on the principal sheet |arg s| < pi.
 
-
-def _check_roots_off_axis(rho: complex, nu: float) -> None:
-    for w in _denominator_roots(rho, nu):
-        if abs(w) == 0.0:
-            continue
-        if w.real > 0 and abs(w.imag) < AXIS_MARGIN * abs(w):
+    arg s = (arg rho + 2 pi k)/nu, and only k in {-1, 0, 1} can reach the
+    sheet for nu <= 2.  E_nu is the sum of the residues exp(s t)/nu at these
+    poles minus the decay kernel F.  A root (on any sheet) within
+    asin(AXIS_MARGIN)/min(nu, 1) of the cut |arg s| = pi puts a denominator
+    root of the cut integrand on the integration ray; that raises
+    DenominatorSingularity instead of guessing a prescription.
+    """
+    margin = math.asin(AXIS_MARGIN) / min(nu, 1.0)
+    modulus = abs(rho) ** (1.0 / nu)
+    poles = []
+    for k in (-1, 0, 1):
+        arg = (cmath.phase(rho) + 2.0 * math.pi * k) / nu
+        if abs(abs(arg) - math.pi) < margin:
             raise DenominatorSingularity(
-                f"kernel denominator root {w:.6g} lies within "
-                f"{AXIS_MARGIN:.3g} rad "
-                f"of the positive real axis (nu={nu}, rho={rho:.6g})")
-
-
-def _axis_crossings(rho: complex, nu: float) -> int:
-    # Number of denominator roots whose phase rho*exp(+-i*nu*pi) has wound
-    # past the positive real axis.  Nonzero only for |arg rho| + nu*pi >= 2*pi,
-    # i.e. orders beyond 4/3 on the rays sigma*(+-i)**nu.
-    phi = abs(np.angle(complex(rho)))
-    return 1 if phi + nu * math.pi >= 2.0 * math.pi else 0
+                f"root of s**nu = rho at arg {arg:.4f} lies within "
+                f"{margin:.3g} rad of the branch cut (nu={nu}, rho={rho:.6g})")
+        if abs(arg) < math.pi:
+            poles.append(modulus * cmath.exp(1j * arg))
+    return poles
 
 
 def _quad_complex(func, upper, points, epsabs):
@@ -186,7 +186,7 @@ def _cut_integral(rho: complex, nu: float, t: float, p: int,
     if rho == 0 or abs(sin_nupi) < 1e-14:
         # Integer order: the branch cut carries no weight.
         return 0.0 + 0j
-    _check_roots_off_axis(rho, nu)
+    _poles(rho, nu)
 
     e = nu + min(p, 0)
     q = nu / e
@@ -269,10 +269,8 @@ def _f_point(rho: complex, nu: float, t: float, tol: float) -> complex:
         return _cut_integral(rho, nu, t, 0, tol)
     if rho == 0 or abs(math.sin(math.pi * nu)) < 1e-14:
         return 0.0 + 0j
-    _check_roots_off_axis(rho, nu)
-    # On the principal sheet this is (1-nu)/nu; each denominator root that
-    # has wound past the integration ray shifts the literal integral by 1/nu.
-    return complex((1.0 - nu) / nu + _axis_crossings(rho, nu) / nu)
+    # E_nu(0) = 1 = (sum of the residues 1/nu) - F(rho, 0).
+    return complex((len(_poles(rho, nu)) - nu) / nu)
 
 
 def f_nu(rho: complex, order: FractionalOrder, t: ArrayLike,
@@ -282,7 +280,9 @@ def f_nu(rho: complex, order: FractionalOrder, t: ArrayLike,
     Defined as (rho*sin(nu*pi)/pi) * integral over r in (0, inf) of
     exp(-r*t) * r**(nu-1) / (r**(2 nu) - 2 rho cos(nu pi) r**nu + rho**2).
     rho is one finite complex value; t >= 0 is a scalar or an array, and
-    the result has its shape.
+    the result has its shape.  F(rho, 0) = (N - nu)/nu, where N counts the
+    roots of s**nu = rho on the principal sheet (`_poles`); a root near the
+    cut raises DenominatorSingularity.
     """
     rho = _finite(rho)
     (t,) = _checked(tol, t=t)
@@ -302,22 +302,6 @@ def f_nu_time_derivative(rho: complex, order: FractionalOrder, t: ArrayLike,
         raise SingularTime("kernel time derivative is undefined at t = 0")
     (t,) = _checked(tol, t=t)
     return _each(lambda x: _cut_integral(rho, order.nu, x, 1, tol), t)
-
-
-def _poles(sigma: float, order: FractionalOrder, sign: Sign) -> list[complex]:
-    """Roots of s**nu = sigma*(+-i)**nu on the principal sheet |arg s| < pi."""
-    nu = order.nu
-    root = sigma ** (1.0 / nu)
-    poles = [root * np.exp(sign.value * 1j * math.pi / 2.0)]
-    # A second root enters the sheet for orders beyond 4/3.
-    arg2 = sign.value * (math.pi / 2.0 - 2.0 * math.pi / nu)
-    if abs(abs(arg2) - math.pi) < AXIS_MARGIN:
-        raise DenominatorSingularity(
-            f"secondary pole at arg {arg2:.4f} sits on the branch cut "
-            f"(nu={nu})")
-    if abs(arg2) < math.pi:
-        poles.append(root * np.exp(1j * arg2))
-    return poles
 
 
 def ml_complex_decomposed(sigma: ArrayLike, sign: Sign, order: FractionalOrder,
@@ -354,7 +338,7 @@ def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
     """
     nu = order.nu
     rho = complex(sigma * order.i_pow(Sign.PLUS_I))
-    poles = _poles(sigma, order, Sign.PLUS_I)
+    poles = _poles(rho, nu)
 
     osc0 = sum(np.exp(s * t) for s in poles) / nu
     osc1 = sum(np.exp(s * t) / s for s in poles) / nu

@@ -115,6 +115,17 @@ class TestSeriesReference:
             want = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
         assert ref == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("t", [10.0, 20.0])
+    def test_half_order_beyond_fifty_digits(self, t):
+        # m = |z|**(1/nu) is 90 and 180; at 180 the largest term is about
+        # 1e77, which a fixed 50-digit sum returned as -2.9e26+3.6e25j.
+        sigma = 3.0
+        ref = oracles.ml_series_reference(sigma, -1, FractionalOrder(0.5), t)
+        with mpmath.workdps(30):
+            z = sigma * mpmath.expjpi(mpmath.mpf(-1) / 4) * mpmath.sqrt(t)
+            want = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
+        assert ref == pytest.approx(want, rel=1e-12)
+
     def test_zero_argument(self):
         assert oracles.ml_series_reference(0.0, -1, FractionalOrder(0.4),
                                            2.0) == 1.0

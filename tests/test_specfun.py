@@ -1,5 +1,6 @@
 """Unit tests for the Mittag-Leffler evaluators and the decay kernel."""
 
+import cmath
 import math
 
 import mpmath
@@ -135,6 +136,55 @@ class TestDecayKernel:
         rho = 1.0 * order.i_pow(Sign.PLUS_I)
         with pytest.raises(DenominatorSingularity):
             specfun.f_nu(rho, order, 1.0)
+
+
+def f_initial_mp(rho, nu):
+    """F(rho, 0) as the literal integral (rho sin(nu pi) / (nu pi)) times the
+    integral over v >= 0 of dv / (v**2 - 2 rho cos(nu pi) v + rho**2)."""
+    with mpmath.workdps(15):
+        rho = mpmath.mpc(rho)
+        cos_nupi = mpmath.cos(mpmath.pi * nu)
+        val = mpmath.quad(lambda v: 1 / (v * v - 2 * rho * cos_nupi * v
+                                         + rho * rho),
+                          [0, abs(rho), mpmath.inf])
+        return complex(rho * mpmath.sin(mpmath.pi * nu) / (nu * mpmath.pi)
+                       * val)
+
+
+class TestPoles:
+    def test_initial_value_matches_literal_integral(self):
+        # Off the rays the principal sheet can hold 0, 1 or 2 roots of
+        # s**nu = rho, so F(rho, 0) = (N - nu)/nu takes each of those forms.
+        # The modulus of rho alternates between 0.5 and 2 along the angles.
+        worst, checked = 0.0, 0
+        for nu in (0.25, 0.5, 0.75, 0.9, 1.2, 1.5, 1.9):
+            for i, deg in enumerate(range(-150, 181, 30)):
+                rho = (0.5, 2.0)[i % 2] * cmath.exp(1j * math.radians(deg))
+                try:
+                    got = specfun.f_nu(rho, FractionalOrder(nu), 0.0)
+                except DenominatorSingularity:
+                    continue
+                worst = max(worst, abs(got - f_initial_mp(rho, nu)))
+                checked += 1
+        assert checked >= 75
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("offset", [-0.0135, 0.0135])
+    def test_window_around_four_thirds(self, offset):
+        order = FractionalOrder(4.0 / 3.0 + offset)
+        rho = order.i_pow(Sign.PLUS_I)
+        with pytest.raises(DenominatorSingularity):
+            specfun.f_nu(rho, order, [0.0, 0.5])
+        with pytest.raises(DenominatorSingularity):
+            ml_two_ic(1.0, order, 1.0, 0.3, [0.0, 0.5])
+
+    @pytest.mark.parametrize("offset", [-0.0145, 0.0145])
+    def test_outside_window(self, offset):
+        order = FractionalOrder(4.0 / 3.0 + offset)
+        rho = order.i_pow(Sign.PLUS_I)
+        assert np.all(np.isfinite(specfun.f_nu(rho, order, [0.0, 0.5])))
+        assert np.all(np.isfinite(ml_two_ic(1.0, order, 1.0, 0.3,
+                                            [0.0, 0.5])))
 
 
 class TestDecomposition:
