@@ -14,8 +14,8 @@ A `--config key=value` file may seed any long flag of `ml`, `well` and
 Each table's grid is one array call, evaluated point by point in grid
 order, so a rerun with the same flags writes byte-identical files.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
+value (a negative sigma, say), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, verify
+from . import __version__, dynamics
 from .errors import DenominatorSingularity, TfseError
 from .specfun import (
     DEFAULT_TOL,
@@ -258,6 +258,12 @@ def cmd_free(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify   # the checks load mpmath and scipy.signal
+
+    if args.suite != "all" and args.suite not in verify.SUITES:
+        print(f"error: unknown suite {args.suite!r}; choose from "
+              f"{', '.join((*verify.SUITES, 'all'))}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     results = verify.run_suite(args.suite)
     width = max(len(r.name) for r in results)
     ok = True
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the named checks")
     p_verify.add_argument("--suite", default="all",
-                          choices=(*verify.SUITES, "all"))
+                          help="a suite of tfse.verify.SUITES, or all")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -383,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except TfseError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

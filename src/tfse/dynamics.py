@@ -3,8 +3,8 @@
 Covers the free particle (spectral evolution plus inverse transform) and the
 infinite potential well (separable modes), together with every diagnostic
 built on top of them: total probability, probability current, the
-non-conservation source, weighted energy averages, time-dependent energy
-levels and the recast first-order-in-time residual.
+non-conservation source, weighted energy averages and time-dependent energy
+levels.
 
 Units are Planck-normalized throughout: T_p = L_p = hbar = 1, so the only
 physical inputs are the mass count N_m and the order nu.
@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma
 
-from . import fraccalc, specfun
+from . import specfun
 from .errors import InvalidOrder, SingularTime
-from .fraccalc import OperatorResidual, SampledSignal
 from .specfun import FractionalOrder, Regime, Sign
 
 
@@ -360,64 +359,14 @@ def energy_spacing_unit(a: float, cfg: RunConfig) -> float:
         / (nu ** 2 * (2.0 * cfg.n_m) ** (1.0 / nu))
 
 
-def hamiltonian_recast_residual(history: SampledSignal, sigma: float,
-                                cfg: RunConfig,
-                                window: tuple[float, float],
-                                initial_slope: complex | None = None
-                                ) -> OperatorResidual:
-    """Residual of the recast first-order-in-time modal equation.
-
-    For orders in (0, 1): dA/dt = (sigma/i**nu) D**(1-nu) A
-    + (sigma/i**nu) A(0) t**(nu-1) / Gamma(nu); at nu = 1 the memory term is
-    absent.  For orders in (1, 2]: dA/dt = sigma i**nu I**(nu-1) A + A'(0),
-    with A'(0) taken from `initial_slope` or a one-sided difference; the
-    i**nu factor flips to the numerator because the two-initial-condition
-    evolution solves D**nu A = sigma i**nu A on the opposite ray.  sigma is
-    the modal frequency, lambda_n for a well mode.
-    """
-    nu = cfg.nu.nu
-    h = history.step
-    t = history.times
-    a = history.values
-    da = np.gradient(a, h, edge_order=2)
-    coef = sigma / cfg.nu.i_pow(Sign.PLUS_I)
-    if cfg.nu.regime is Regime.SUB_UNIT:
-        tilde = (a if nu == 1.0
-                 else fraccalc.caputo_l1_values(a, h, 1.0 - nu))
-        rhs = coef * tilde
-        if nu < 1.0:
-            rhs = rhs.astype(complex)
-            rhs[1:] = rhs[1:] + coef * a[0] * t[1:] ** (nu - 1.0) / gamma(nu)
-    else:
-        coef = sigma * cfg.nu.i_pow(Sign.PLUS_I)
-        integ = fraccalc.rl_integral_values(a, h, nu - 1.0)
-        slope0 = initial_slope
-        if slope0 is None:
-            slope0 = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-        rhs = coef * integ + slope0
-    per_node = da - rhs
-    mask = (t >= window[0]) & (t <= window[1])
-    if not mask.any():
-        raise ValueError("window excludes every node")
-    return OperatorResidual(max_abs=float(np.abs(per_node[mask]).max()))
-
-
-def well_amplitude_history(mode: WellMode, cfg: RunConfig, t_max: float,
-                           h: float,
-                           tol: float = specfun.DEFAULT_TOL) -> SampledSignal:
-    """A(t) sampled on the uniform grid [0, t_max] with step h."""
-    n = int(round(t_max / h)) + 1
-    times = np.linspace(0.0, t_max, n)
-    return SampledSignal(times, well_amplitude(mode, cfg, times, tol))
-
-
 # Continuity samples snap to this grid, t_k = round(t / step) * step: the
 # benchmark's reference (bench/checks.py) evaluates dP/dt at the same t_k.
 _CONTINUITY_STEP = 2.5e-3
+_CONTINUITY_POINTS = 201   # spatial nodes of the integrated source
 
 
 def well_continuity_series(mode: WellMode, cfg: RunConfig,
-                           sample_times: np.ndarray, n_points: int = 201,
+                           sample_times: np.ndarray,
                            tol: float = specfun.DEFAULT_TOL
                            ) -> tuple[np.ndarray, np.ndarray]:
     """dP/dt and the integrated source S, the two sides of continuity.
@@ -431,7 +380,7 @@ def well_continuity_series(mode: WellMode, cfg: RunConfig,
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.min() <= 0:
         raise SingularTime("continuity samples must be at positive times")
-    x = np.linspace(0.0, mode.a, n_points)
+    x = np.linspace(0.0, mode.a, _CONTINUITY_POINTS)
     shape = well_shape(mode, x)
     init_cap = GridField(x, mode.lambda_n / cfg.nu.i_pow(Sign.PLUS_I) * shape)
 

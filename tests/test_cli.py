@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfse import cli, dynamics
+from tfse import cli, dynamics, verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -215,7 +221,41 @@ class TestConfigAndVerify:
             cli.main(["verify", "--suite", "fraccalc", *flag])
         assert exc.value.code == 2
 
-    def test_verify_rejects_unknown_suite(self):
+    def test_verify_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in verify.SUITES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ml", "--nu", "0.5", "--sigma", "-1", "--t-grid", "0:1:3"],
+    ["ml", "--nu", "0.5", "--sigma", "1", "--t-grid", "0:1:3",
+     "--tol", "0"],
+    ["well", "--nu", "0.5", "--nm", "0", "--emit", "probability",
+     "--t-grid", "1:2:3"],
+    ["well", "--nu", "0.5", "--a", "-1", "--emit", "probability",
+     "--t-grid", "1:2:3"],
+    ["well", "--nu", "0.5", "--n", "0", "--emit", "probability",
+     "--t-grid", "1:2:3"],
+    ["free", "--nu", "0.5", "--x-grid", "0:1:1", "--t-grid", "1:1:1"],
+    ["free", "--nu", "0.5", "--lambda-grid=-1:1:2", "--t-grid", "1:1:1"],
+], ids=["negative-sigma", "zero-tol", "zero-nm", "negative-a", "zero-n",
+        "one-point-x-grid", "two-node-lambda-grid"])
+def test_invalid_value_is_usage_error(argv, tmp_path, capsys):
+    code = cli.main(argv + ["--outdir", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_commands_do_not_load_the_checks():
+    # The commands need specfun and dynamics only; verify, fraccalc and
+    # oracles (with mpmath and scipy.signal) load with `tfse verify`.
+    probe = ("import sys, tfse.cli; print(' '.join(m for m in ("
+             "'tfse.verify', 'tfse.fraccalc', 'tfse.oracles', 'mpmath', "
+             "'scipy.signal') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

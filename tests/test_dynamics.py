@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tfse import dynamics, fraccalc
+from tfse import dynamics
 from tfse.errors import InvalidOrder, SingularTime
 from tfse.dynamics import GridField, RunConfig, SpectralPacket
 from tfse.specfun import FractionalOrder
@@ -204,37 +204,6 @@ class TestDiagnostics:
             == pytest.approx(1.0)
         assert dynamics.energy_spacing_unit(math.pi, cfg_of(0.5)) \
             == pytest.approx(4.0)
-
-
-class TestRecastResidual:
-    def test_unit_order_reduces_to_schrodinger(self):
-        cfg = cfg_of(1.0)
-        mode = dynamics.well_mode(1, math.pi, cfg)
-        hist = dynamics.well_amplitude_history(mode, cfg, 2.0, 1e-3)
-        res = dynamics.hamiltonian_recast_residual(hist, mode.lambda_n, cfg,
-                                                   window=(0.1, 2.0))
-        assert res.max_abs < 1e-5
-
-    def test_zero_history_zero_residual(self):
-        times = np.linspace(0.0, 1.0, 101)
-        hist = fraccalc.SampledSignal(times, np.zeros_like(times,
-                                                           dtype=complex))
-        res = dynamics.hamiltonian_recast_residual(hist, 1.0, cfg_of(0.5),
-                                                   window=(0.1, 1.0),
-                                                   initial_slope=0.0)
-        assert res.max_abs == 0.0
-
-    def test_super_unit_residual(self):
-        from tfse.specfun import ml_two_ic
-        cfg = cfg_of(1.5)
-        times = np.arange(0.0, 2.0 + 5e-4, 1e-3)
-        vals = np.array([ml_two_ic(1.0, cfg.nu, 1.0, 0.0, float(t))
-                         for t in times])
-        hist = fraccalc.SampledSignal(times, vals)
-        res = dynamics.hamiltonian_recast_residual(hist, 1.0, cfg,
-                                                   window=(0.1, 2.0),
-                                                   initial_slope=0.0)
-        assert res.max_abs < 5e-3
 
 
 class TestContinuity:

@@ -1,10 +1,12 @@
 """Unit tests for the sampled-signal fractional operators."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from tfse import fraccalc
+from tfse import dynamics, fraccalc
 from tfse.errors import InvalidOrder
 from tfse.fraccalc import SampledSignal
 from tfse.specfun import FractionalOrder
@@ -13,6 +15,15 @@ from tfse.specfun import FractionalOrder
 def make_signal(func, t_max=1.0, h=1e-2):
     times = np.arange(0.0, t_max + h / 2, h)
     return SampledSignal(times, func(times))
+
+
+def well_history(nu, t_max, h):
+    """A(t) of the lowest well mode (a = pi, n_m = 1/2) on [0, t_max]."""
+    cfg = dynamics.RunConfig(FractionalOrder(nu), n_m=0.5)
+    mode = dynamics.well_mode(1, math.pi, cfg)
+    times = np.linspace(0.0, t_max, int(round(t_max / h)) + 1)
+    return mode, SampledSignal(times, dynamics.well_amplitude(mode, cfg,
+                                                              times))
 
 
 class TestSampledSignal:
@@ -159,18 +170,36 @@ class TestIdentities:
 
     def test_ml_signal_self_consistency(self):
         # The composed L1 scheme reproduces plain y' for a Mittag-Leffler
-        # amplitude; the analytic memory term is absorbed by the startup
-        # error of the first stage, so supplying it double-counts.
-        from tfse import dynamics
-        nu = 0.5
-        order = FractionalOrder(nu)
-        cfg = dynamics.RunConfig(order, n_m=0.5)
-        mode = dynamics.well_mode(1, np.pi, cfg)
-        hist = dynamics.well_amplitude_history(mode, cfg, 1.0, 1e-3)
-        plain = fraccalc.check_identity_seq11(hist, order, startup=100)
+        # amplitude: the startup error of the first stage absorbs the
+        # analytic memory term.
+        _, hist = well_history(0.5, 1.0, 1e-3)
+        plain = fraccalc.check_identity_seq11(hist, FractionalOrder(0.5),
+                                              startup=100)
         assert plain.max_abs < 1e-3
-        c0 = mode.lambda_n / order.i_pow()
-        analytic = fraccalc.check_identity_seq11(hist, order,
-                                                 caputo_at_zero=c0,
-                                                 startup=100)
-        assert analytic.max_abs > 10.0 * plain.max_abs
+
+
+class TestRecastResidual:
+    def test_unit_order_reduces_to_schrodinger(self):
+        mode, hist = well_history(1.0, 2.0, 1e-3)
+        res = fraccalc.hamiltonian_recast_residual(
+            hist, mode.lambda_n, FractionalOrder(1.0), window=(0.1, 2.0))
+        assert res.max_abs < 1e-5
+
+    def test_zero_history_zero_residual(self):
+        times = np.linspace(0.0, 1.0, 101)
+        hist = SampledSignal(times, np.zeros_like(times, dtype=complex))
+        res = fraccalc.hamiltonian_recast_residual(
+            hist, 1.0, FractionalOrder(0.5), window=(0.1, 1.0),
+            initial_slope=0.0)
+        assert res.max_abs == 0.0
+
+    def test_super_unit_residual(self):
+        from tfse.specfun import ml_two_ic
+        order = FractionalOrder(1.5)
+        times = np.arange(0.0, 2.0 + 5e-4, 1e-3)
+        vals = np.array([ml_two_ic(1.0, order, 1.0, 0.0, float(t))
+                         for t in times])
+        res = fraccalc.hamiltonian_recast_residual(
+            SampledSignal(times, vals), 1.0, order, window=(0.1, 2.0),
+            initial_slope=0.0)
+        assert res.max_abs < 5e-3
