@@ -179,28 +179,40 @@ def default_positions(packet: SpectralPacket) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
-def free_field(packet: SpectralPacket, positions: np.ndarray | None = None
-               ) -> tuple[GridField, GridField, GridField]:
-    """Inverse transform of the packet and of its two pieces separately.
+def free_field(packets: list[SpectralPacket],
+               positions: np.ndarray | None = None
+               ) -> list[tuple[GridField, GridField, GridField]]:
+    """Inverse transform of each packet and of its two pieces separately.
 
-    Returns (psi, psi_s, psi_d); the pieces add up to psi nodewise.  For a
-    packet without a stored split (e.g. an un-evolved initial packet) the
-    whole field is reported as the oscillatory piece.
+    The packets (the snapshots of one run) share one wavenumber grid, so the
+    phase matrix exp(i x lambda) is built once; each piece of each packet is
+    one matrix-vector product with it.  Returns one (psi, psi_s, psi_d) per
+    packet; the pieces add up to psi nodewise.  For a packet without a
+    stored split (e.g. an un-evolved initial packet) the whole field is
+    reported as the oscillatory piece.
     """
+    if not packets:
+        return []
+    lam = packets[0].wavenumbers
+    if any(not np.array_equal(pk.wavenumbers, lam) for pk in packets):
+        raise ValueError("packets must share a wavenumber grid")
     if positions is None:
-        positions = default_positions(packet)
+        positions = default_positions(packets[0])
     positions = np.asarray(positions, dtype=float)
-    amp_s = packet.amplitudes_s
-    amp_d = packet.amplitudes_d
-    if amp_s is None or amp_d is None:
-        amp_s = packet.amplitudes
-        amp_d = np.zeros_like(packet.amplitudes)
-    phase = np.exp(1j * np.outer(positions, packet.wavenumbers))
-    psi_s, psi_d = (phase @ amp * packet.step / (2.0 * math.pi)
-                    for amp in (amp_s, amp_d))
-    return (GridField(positions, psi_s + psi_d),
-            GridField(positions, psi_s),
-            GridField(positions, psi_d))
+    phase = np.exp(1j * np.outer(positions, lam))
+    fields = []
+    for packet in packets:
+        amp_s = packet.amplitudes_s
+        amp_d = packet.amplitudes_d
+        if amp_s is None or amp_d is None:
+            amp_s = packet.amplitudes
+            amp_d = np.zeros_like(packet.amplitudes)
+        psi_s, psi_d = (phase @ amp * packet.step / (2.0 * math.pi)
+                        for amp in (amp_s, amp_d))
+        fields.append((GridField(positions, psi_s + psi_d),
+                       GridField(positions, psi_s),
+                       GridField(positions, psi_d)))
+    return fields
 
 
 def spectral_probability(packet: SpectralPacket) -> float:

@@ -10,7 +10,10 @@ into a unit-frequency oscillation divided by nu and a monotone decay kernel
 where F is a semi-infinite branch-cut integral.  This module evaluates the
 power series, the decay kernel, the decomposition and the two-initial-condition
 solution for orders in (1, 2].  All but the series take scalars or arrays of
-points that broadcast together; one loop, `_each`, visits every point.
+points that broadcast together; one loop, `_each`, visits each distinct point
+once.  The branch-cut quadratures of the sigma-array evaluators run once per
+sigma up to rounding (`_merge_close`), so the mirrored nodes +-lambda of a
+symmetric wavenumber grid share them.
 
 Branch conventions (fixed throughout the package): i**nu = exp(i*pi*nu/2),
 (-i)**nu = exp(-i*pi*nu/2), and sigma**(1/nu) is the positive real root.
@@ -43,6 +46,10 @@ SERIES_TERM_CAP = 200
 # radians of the branch cut |arg s| = pi.  On the rays sigma*(+-i)**nu that
 # rejects orders in (1.3193, 1.3476), in `f_nu` and `ml_two_ic` alike.
 AXIS_MARGIN = 0.05
+
+# Sigmas within this relative distance share one branch-cut quadrature: the
+# nodes +-lambda of np.linspace(-L, L, n) differ by up to about 18 ulp.
+_MERGE_RTOL = 64 * np.finfo(float).eps
 
 
 class Regime(enum.Enum):
@@ -235,13 +242,33 @@ def _cut_integral(rho: complex, nu: float, t: float, p: int,
 
 def _each(kernel, *args) -> complex | np.ndarray:
     """kernel(*point), with Python scalars, at every point of the broadcast
-    arguments: the one loop over points behind the evaluators below.
-    Scalars give a complex scalar, arrays a complex array of their shape."""
+    arguments: the one loop over points behind the evaluators below.  The
+    kernel runs once per distinct point, in sorted order, and its value is
+    scattered back to every repeat.  Scalars give a complex scalar, arrays a
+    complex array of their shape."""
     arrays = np.broadcast_arrays(*args)
-    points = zip(*(a.ravel().tolist() for a in arrays))
-    out = np.array([kernel(*p) for p in points], dtype=complex)
-    out = out.reshape(arrays[0].shape)
+    columns = [a.ravel() for a in arrays]
+    keys = np.column_stack([part for c in columns for part in (
+        (c.real, c.imag) if np.iscomplexobj(c) else (c,))])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    points = zip(*(c[first].tolist() for c in columns))
+    values = np.array([kernel(*p) for p in points], dtype=complex)
+    out = values[inverse.ravel()].reshape(arrays[0].shape)
     return complex(out[()]) if out.ndim == 0 else out
+
+
+def _merge_close(sigma: np.ndarray) -> np.ndarray:
+    """sigma with each value replaced by the smallest of its run: values
+    sorted and grouped while within _MERGE_RTOL (relative) of their run's
+    first.  The quadrature terms take these, so that sigmas equal up to
+    rounding cost one quadrature; 0 merges with nothing."""
+    values = np.unique(sigma)
+    runs = values.copy()
+    for k in range(1, values.size):
+        if values[k] - runs[k - 1] <= _MERGE_RTOL * values[k]:
+            runs[k] = runs[k - 1]
+    return runs[np.searchsorted(values, sigma)]
 
 
 def _checked(tol: float, **points: ArrayLike) -> list[np.ndarray]:
@@ -265,10 +292,10 @@ def _finite(rho: complex) -> complex:
 
 def _f_point(rho: complex, nu: float, t: float, tol: float) -> complex:
     """F(rho, t) at one point: the cut integral, or its closed form at 0."""
-    if t > 0.0:
-        return _cut_integral(rho, nu, t, 0, tol)
     if rho == 0 or abs(math.sin(math.pi * nu)) < 1e-14:
         return 0.0 + 0j
+    if t > 0.0:
+        return _cut_integral(rho, nu, t, 0, tol)
     # E_nu(0) = 1 = (sum of the residues 1/nu) - F(rho, 0).
     return complex((len(_poles(rho, nu)) - nu) / nu)
 
@@ -313,7 +340,9 @@ def ml_complex_decomposed(sigma: ArrayLike, sign: Sign, order: FractionalOrder,
     each other; the three fields of the result have the broadcast shape
     (complex scalars when both are scalars).  sigma = 0 collapses the pole
     onto the branch point, so such points bypass the decomposition and
-    take E_nu(0) = 1 as oscillation with zero decay.
+    take E_nu(0) = 1 as oscillation with zero decay.  The oscillation is
+    taken at each point's own sigma; the decay once per sigma up to
+    rounding (`_merge_close`).
     """
     sigma, t = _checked(tol, sigma=sigma, t=t)
     if order.regime is not Regime.SUB_UNIT:
@@ -322,29 +351,9 @@ def ml_complex_decomposed(sigma: ArrayLike, sign: Sign, order: FractionalOrder,
     ipow = order.i_pow(sign)
     osc = _each(lambda s, x: 1.0 + 0j if s == 0.0 else complex(
         np.exp(sign.value * 1j * s ** (1.0 / nu) * x) / nu), sigma, t)
-    # rho = 0 gives F = 0 without quadrature.
-    dec = _each(lambda s, x: _f_point(complex(s * ipow), nu, x, tol), sigma, t)
+    dec = _each(lambda s, x: _f_point(complex(s * ipow), nu, x, tol),
+                _merge_close(sigma), t)
     return MlDecomposition(oscillatory=osc, decay=dec, total=osc - dec)
-
-
-def _two_ic_coefficients(sigma: float, order: FractionalOrder, t: float,
-                         tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
-    """Coefficients multiplying the two initial values for orders in (1, 2].
-
-    Derived from the inverse Laplace transform of
-    (s**(nu-1)*a0 + s**(nu-2)*a1) / (s**nu - sigma*i**nu):
-    residues at every pole on the principal sheet plus the branch-cut
-    integral, with the a1 branch-cut integrand carrying r**(nu-2).
-    """
-    nu = order.nu
-    rho = complex(sigma * order.i_pow(Sign.PLUS_I))
-    poles = _poles(rho, nu)
-
-    osc0 = sum(np.exp(s * t) for s in poles) / nu
-    osc1 = sum(np.exp(s * t) / s for s in poles) / nu
-    dec0 = _f_point(rho, nu, t, tol)
-    dec1 = _cut_integral(rho, nu, t, -1, tol)
-    return complex(osc0) - dec0, complex(osc1) - dec1
 
 
 def ml_two_ic(sigma: ArrayLike, order: FractionalOrder, a0: ArrayLike,
@@ -357,19 +366,44 @@ def ml_two_ic(sigma: ArrayLike, order: FractionalOrder, a0: ArrayLike,
     other, and the result has their shape.  The exponent sign
     e^{+i sigma^{1/nu} t} follows the residue at the principal pole and is
     confirmed by the "two-IC exponent sign" check of `tfse.verify`.
+
+    From the inverse Laplace transform of
+    (s**(nu-1)*a0 + s**(nu-2)*a1) / (s**nu - sigma*i**nu), each initial
+    value's coefficient is its residues at the poles on the principal sheet
+    minus a branch-cut integral: F for a0, the p = -1 integral of
+    `_cut_integral` for a1.  The residues are taken at each point's own
+    sigma.  Each cut integral runs once per sigma up to rounding
+    (`_merge_close`) and t, and only where its initial value is nonzero.
     """
     if order.regime is not Regime.SUPER_UNIT:
         raise InvalidOrder("two-initial-condition solution needs nu in (1, 2]")
     sigma, t = _checked(tol, sigma=sigma, t=t)
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    nu = order.nu
+    ipow = order.i_pow(Sign.PLUS_I)
+    shape = np.broadcast_shapes(sigma.shape, a0.shape, a1.shape, t.shape)
+    merged = np.broadcast_to(_merge_close(sigma), shape)
+    times = np.broadcast_to(t, shape)
 
-    def point(s, b0, b1, x):
+    def cut(a, integral):
+        out = np.zeros(shape, dtype=complex)
+        need = (merged != 0) & (a != 0)
+        out[need] = _each(lambda s, x: integral(complex(s * ipow), x),
+                          merged[need], times[need])
+        return out
+
+    dec0 = cut(a0, lambda rho, x: _f_point(rho, nu, x, tol))
+    dec1 = cut(a1, lambda rho, x: _cut_integral(rho, nu, x, -1, tol))
+
+    def point(s, b0, b1, x, f0, f1):
         if b0 == 0 and b1 == 0:
             return 0.0 + 0j
         if s == 0.0:
             # D**nu annihilates affine functions for nu > 1.
             return b0 + b1 * x
-        c0, c1 = _two_ic_coefficients(s, order, x, tol)
+        poles = _poles(complex(s * ipow), nu)
+        c0 = complex(sum(np.exp(p * x) for p in poles) / nu) - f0
+        c1 = complex(sum(np.exp(p * x) / p for p in poles) / nu) - f1
         return b0 * c0 + b1 * c1
 
-    return _each(point, sigma, np.asarray(a0, dtype=complex),
-                 np.asarray(a1, dtype=complex), t)
+    return _each(point, sigma, a0, a1, t, dec0, dec1)

@@ -259,3 +259,14 @@ def test_commands_do_not_load_the_checks():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_csv_matches_per_value_format(tmp_path):
+    columns = [[-0.0, 5e-324, 1e300, 3.0],
+               np.array([np.float64(0.1), -2.0, 1e-17, 7.0]),
+               [np.float64(-1.5e-300), 1 / 3, 2.0 ** 60, -0.0]]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a", "b", "c"], columns, comments=["note"])
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in zip(*columns))
+    assert path.read_text() == "# note\na,b,c\n" + rows

@@ -56,7 +56,7 @@ class TestFreeParticle:
         out = dynamics.free_spectrum_evolve(packet, cfg_of(0.5), 1.5)
         assert np.allclose(out.amplitudes_s + out.amplitudes_d,
                            out.amplitudes)
-        psi, psi_s, psi_d = dynamics.free_field(out)
+        [(psi, psi_s, psi_d)] = dynamics.free_field([out])
         assert np.allclose(psi_s.values + psi_d.values, psi.values)
 
     def test_oscillatory_piece_density_is_static(self):
@@ -83,8 +83,7 @@ class TestFreeParticle:
     def test_field_at_zero_matches_initial(self):
         packet = unit_packet(count=81)
         out = dynamics.free_spectrum_evolve(packet, cfg_of(0.5), 0.0)
-        psi0, _, _ = dynamics.free_field(packet)
-        psi, _, _ = dynamics.free_field(out)
+        (psi0, _, _), (psi, _, _) = dynamics.free_field([packet, out])
         assert np.allclose(psi.values, psi0.values, atol=1e-12)
 
     def test_high_order_reproduces_initial_state(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tfse import specfun
+from tfse.dynamics import SpectralPacket
 from tfse.errors import (
     DenominatorSingularity,
     InvalidOrder,
@@ -397,3 +398,67 @@ class TestBroadcasting:
             ml_complex_decomposed(1.0, Sign.MINUS_I, sub, [1.0, 2.0], tol=0.0)
         with pytest.raises(SingularTime):
             specfun.f_nu_time_derivative(rho, sub, np.array([1.0, 0.0]))
+
+
+def _spy_cut_integral(monkeypatch):
+    """Record the power p of every branch-cut integral that runs."""
+    calls = []
+    real = specfun._cut_integral
+
+    def spy(rho, nu, t, p, tol):
+        calls.append(p)
+        return real(rho, nu, t, p, tol)
+
+    monkeypatch.setattr(specfun, "_cut_integral", spy)
+    return calls
+
+
+class TestMergedQuadrature:
+    """Sigmas equal up to rounding share one branch-cut quadrature."""
+
+    lam = np.linspace(-8.0, 8.0, 201)
+
+    def test_mirrored_nodes_share_decay(self, monkeypatch):
+        calls = _spy_cut_integral(monkeypatch)
+        order = FractionalOrder(0.5)
+        sigma = self.lam ** 2
+        # Rounding leaves many mirrored nodes apart, so exact equality
+        # alone would not pair them.
+        assert np.unique(sigma).size > 101
+        for t in (0.7, 12.0):
+            calls.clear()
+            d = ml_complex_decomposed(sigma, Sign.MINUS_I, order, t)
+            assert calls == [0] * 100    # 100 pairs; sigma = 0 bypasses
+            nodes = [ml_complex_decomposed(s, Sign.MINUS_I, order, t)
+                     for s in sigma.tolist()]
+            assert np.array_equal(d.oscillatory,
+                                  [n.oscillatory for n in nodes])
+            assert list(d.decay) == pytest.approx([n.decay for n in nodes],
+                                                  rel=1e-14)
+
+    def test_asymmetric_grid_merges_nothing(self, monkeypatch):
+        lam = np.linspace(-8.0, 8.0 + 1e-9, 201)
+        SpectralPacket(lam, np.ones_like(lam, dtype=complex))
+        calls = _spy_cut_integral(monkeypatch)
+        ml_complex_decomposed(lam ** 2, Sign.MINUS_I, FractionalOrder(0.5),
+                              2.0)
+        assert len(calls) == 201
+
+    def test_two_ic_shares_both_cut_integrals(self, monkeypatch):
+        calls = _spy_cut_integral(monkeypatch)
+        ml_two_ic(self.lam ** 2, FractionalOrder(1.5), 1.0, 0.5, 2.0)
+        assert sorted(calls) == [-1] * 100 + [0] * 100
+
+    def test_two_ic_skips_zero_initial_values(self, monkeypatch):
+        calls = _spy_cut_integral(monkeypatch)
+        order = FractionalOrder(1.5)
+        sigma = np.array([0.5, 1.0, 2.0])
+        ml_two_ic(sigma, order, 1.0, 0.0, 2.0)
+        assert calls == [0] * 3          # a1 = 0: no p = -1 integral
+        calls.clear()
+        ml_two_ic(sigma, order, 0.0, 1.0, 2.0)
+        assert calls == [-1] * 3         # a0 = 0: no F integral
+        calls.clear()
+        ml_two_ic(sigma, order, np.array([1.0, 0.0, 0.0]),
+                  np.array([0.0, 1.0, 0.0]), 2.0)
+        assert calls == [0, -1]
