@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,9 +161,14 @@ def _poles(rho: complex, nu: float) -> list[complex]:
 
 
 def _quad_complex(func, upper, points, epsabs):
+    """quad of the real and then the imaginary part of func over
+    [0, upper].  func runs once per node: the imaginary pass revisits
+    about half of the real pass's nodes, and takes those values from a
+    cache."""
     pts = sorted({p for p in points if 0.0 < p < upper})
     vals = []
     err = 0.0
+    func = functools.cache(func)
     for part in (lambda w: func(w).real, lambda w: func(w).imag):
         res = quad(part, 0.0, upper, points=pts or None, limit=250,
                    epsabs=epsabs, epsrel=1e-13, full_output=1)
@@ -205,13 +211,15 @@ def _cut_integral(rho: complex, nu: float, t: float, p: int,
 
     # A power of w that overflows (1/e is large for nu near 0, and near 1 at
     # p = -1) means exp(-r*t) or 1/v**2 has long underflowed: the value is 0.
+    # For p >= 0, q = 1 (v = w) and r**max(p, 0) is 1 or r.
     def integrand(w):
         try:
             r = w ** inv_e
-            v = w ** q
+            v = w ** q if p < 0 else w
         except OverflowError:
             return 0.0
-        return r ** m * math.exp(-r * t) / (v * v + m2rc * v + rho2)
+        decay = r * math.exp(-r * t) if p > 0 else math.exp(-r * t)
+        return decay / (v * v + m2rc * v + rho2)
 
     def tail_integrand(u):
         if u <= 0.0:

@@ -1,6 +1,7 @@
 """Unit tests for the free-particle and well evolution and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,79 @@ class TestFreeParticle:
         with pytest.raises(InvalidOrder):
             dynamics.free_spectrum_high_order(packet, packet, cfg_of(0.5),
                                               1.0)
+
+
+def _dense(x, lam, amp, step):
+    """The unblocked inverse transform: the whole phase matrix at once."""
+    return np.exp(1j * np.outer(x, lam)) @ amp * step / (2.0 * math.pi)
+
+
+class TestInverseTransform:
+    lam = np.linspace(-8.0, 8.0, 201)
+
+    def packets(self):
+        """Two split snapshots around an unsplit packet."""
+        rng = np.random.default_rng(3)
+        out = []
+        for center, split in ((-2.0, True), (0.5, False), (3.0, True)):
+            amp = dynamics.gaussian_packet(self.lam, center).amplitudes
+            share = rng.uniform(-1.0, 1.0, self.lam.size) \
+                * np.exp(1j * rng.uniform(0.0, 6.3, self.lam.size))
+            out.append(SpectralPacket(self.lam, amp) if not split else
+                       SpectralPacket(self.lam, amp, amplitudes_s=amp * share,
+                                      amplitudes_d=amp * (1.0 - share)))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 7, 2 * dynamics._BLOCK, 2001])
+    def test_blocked_matches_dense(self, count):
+        # Pieces of several packets, as free_field stacks them.
+        rng = np.random.default_rng(count)
+        amps = rng.normal(size=(5, self.lam.size)) \
+            + 1j * rng.normal(size=(5, self.lam.size))
+        x = np.linspace(-39.0, 39.0, count)
+        got = dynamics._inverse_transform(x, self.lam, amps)
+        for row, amp in zip(got, amps):
+            want = _dense(x, self.lam, amp, 2.0 * math.pi)
+            assert np.abs(row - want).max() <= 4e-15 * np.abs(want).max()
+
+    def test_free_field_matches_dense(self):
+        x = np.linspace(-39.0, 39.0, 2001)
+        packets = self.packets()
+        for packet, fields in zip(packets, dynamics.free_field(packets, x)):
+            pieces = (packet.amplitudes, packet.amplitudes_s,
+                      packet.amplitudes_d)
+            if packet.amplitudes_s is None:
+                pieces = (packet.amplitudes, packet.amplitudes, None)
+            for field, amp in zip(fields, pieces):
+                if amp is None:
+                    assert not np.any(field.values)
+                    continue
+                want = _dense(x, self.lam, amp, packet.step)
+                assert np.abs(field.values - want).max() \
+                    <= 4e-15 * np.abs(want).max()
+
+    def test_unsplit_packet_has_exact_zero_decay(self):
+        [(psi, psi_s, psi_d)] = dynamics.free_field([unit_packet(count=41)])
+        assert not np.any(psi_d.values)
+        assert not np.any(np.signbit(psi_d.values.real))
+        assert not np.any(np.signbit(psi_d.values.imag))
+        assert np.array_equal(psi.values, psi_s.values)
+
+    def test_transform_memory_is_blocked(self):
+        lam = np.linspace(-8.0, 8.0, 401)
+        x = np.linspace(-78.0, 78.0, 20001)
+        amp = dynamics.gaussian_packet(lam).amplitudes
+        packets = [SpectralPacket(lam, amp, amplitudes_s=amp * k,
+                                  amplitudes_d=amp * (1 - k))
+                   for k in (0.5, 1.5, 2.5)]
+        tracemalloc.start()
+        try:
+            dynamics.free_field(packets, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The full 20001 x 401 phase matrix alone would take 128 MB.
+        assert peak < 8e6
 
 
 class TestWell:

@@ -1,11 +1,13 @@
 """Unit tests for the Mittag-Leffler evaluators and the decay kernel."""
 
 import cmath
+import collections
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from tfse import specfun
 from tfse.dynamics import SpectralPacket
@@ -462,3 +464,79 @@ class TestMergedQuadrature:
         ml_two_ic(sigma, order, np.array([1.0, 0.0, 0.0]),
                   np.array([0.0, 1.0, 0.0]), 2.0)
         assert calls == [0, -1]
+
+
+def _two_pass(func, upper, points, epsabs):
+    """The former `_quad_complex`: func runs again in the imaginary pass."""
+    pts = sorted({p for p in points if 0.0 < p < upper})
+    vals, err = [], 0.0
+    for part in (lambda w: func(w).real, lambda w: func(w).imag):
+        res = quad(part, 0.0, upper, points=pts or None, limit=250,
+                   epsabs=epsabs, epsrel=1e-13, full_output=1)
+        vals.append(res[0])
+        err += res[1]
+    return complex(*vals), err
+
+
+def _power_integrand(rho, nu, t, p):
+    """The former [0, split] integrand of `_cut_integral`, identity powers
+    r**0 and w**1.0 included."""
+    e = nu + min(p, 0)
+    q, m, inv_e = nu / e, max(p, 0), 1.0 / e
+    m2rc = -2.0 * rho * math.cos(math.pi * nu)
+    rho2 = rho * rho
+
+    def integrand(w):
+        try:
+            r = w ** inv_e
+            v = w ** q
+        except OverflowError:
+            return 0.0
+        return r ** m * math.exp(-r * t) / (v * v + m2rc * v + rho2)
+    return integrand
+
+
+def _cut_lattice(seed=14, draws=12):
+    """(rho, nu, t, p): nu in [0.2, 1.9] away from 1 and from the window
+    around 4/3, p = -1 only above 1 (where the a1 term lives), both rays."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        nu = float(rng.uniform(0.2, 1.9))
+        if abs(nu - 1.0) < 0.02 or 1.30 < nu < 1.36:
+            continue
+        for p in (-1, 0, 1) if nu > 1.0 else (0, 1):
+            for sign in Sign:
+                sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
+                t = float(rng.uniform(0.3, 5.0))
+                yield sigma * FractionalOrder(nu).i_pow(sign), nu, t, p
+
+
+class TestQuadOncePerNode:
+    def test_integrand_runs_once_per_node(self, monkeypatch):
+        real = specfun._quad_complex
+        counts, funcs = [], []
+
+        def spy(func, upper, points, epsabs):
+            seen = collections.Counter()
+            counts.append(seen)
+            funcs.append(func)
+
+            def counted(w):
+                seen[w] += 1
+                return func(w)
+            return real(counted, upper, points, epsabs)
+
+        points = list(_cut_lattice())
+        assert {p for *_, p in points} == {-1, 0, 1}
+        for rho, nu, t, p in points:
+            counts.clear()
+            funcs.clear()
+            monkeypatch.setattr(specfun, "_quad_complex", spy)
+            got = specfun._cut_integral(rho, nu, t, p, 1e-10)
+            assert len(counts) == 2                  # [0, split], then tail
+            assert all(set(seen.values()) == {1} for seen in counts)
+            old = _power_integrand(rho, nu, t, p)
+            assert all(repr(funcs[0](w)) == repr(old(w)) for w in counts[0])
+            monkeypatch.setattr(specfun, "_quad_complex", _two_pass)
+            assert repr(specfun._cut_integral(rho, nu, t, p, 1e-10)) \
+                == repr(got)
