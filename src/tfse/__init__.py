@@ -7,7 +7,6 @@ cross-checks) and `cli` (the `tfse` command).
 """
 
 from .errors import (
-    ContourClash,
     DenominatorSingularity,
     InvalidOrder,
     NonConvergence,
@@ -28,7 +27,6 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContourClash",
     "DenominatorSingularity",
     "FractionalOrder",
     "InvalidOrder",

@@ -220,6 +220,7 @@ def cmd_free(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     meta = f"nu={args.nu} nm={args.nm} packet={args.packet_raw}"
+    positions = dynamics.field_positions(packet0, args.x_grid)
 
     if args.high_order:
         if order.regime is not Regime.SUPER_UNIT:
@@ -237,24 +238,27 @@ def cmd_free(args) -> int:
             packet0, cfg, float(t), args.tol)
 
     packets = [evolve(t) for t in args.t_grid]
-    fields = dynamics.free_field(packets, args.x_grid)
+    x, fields = dynamics.free_field(packets, positions)
     for k, (t, (psi, psi_s, psi_d)) in enumerate(zip(args.t_grid, fields)):
         snap = outdir / f"free_snapshot_t{k:03d}.csv"
         _write_csv(snap, ["x", "re", "im", "prob"],
-                   [psi.positions, psi.values.real, psi.values.imag,
-                    np.abs(psi.values) ** 2],
+                   [x, psi.real, psi.imag, np.abs(psi) ** 2],
                    comments=[meta, f"t={float(t):.12g}"])
         split = outdir / f"free_split_t{k:03d}.csv"
         _write_csv(split, ["x", "re_s", "im_s", "re_d", "im_d"],
-                   [psi.positions, psi_s.values.real, psi_s.values.imag,
-                    psi_d.values.real, psi_d.values.imag],
+                   [x, psi_s.real, psi_s.imag, psi_d.real, psi_d.imag],
                    comments=[meta, f"t={float(t):.12g}"])
         outputs.extend([snap, split])
+    # Two-IC runs have no limit: with a slope packet the zero-frequency
+    # node grows like t.
+    limits = [] if args.high_order else [
+        f"limit={dynamics.spectral_probability_limit(packet0, cfg):.12g}",
+        f"continuum_limit={1.0 / args.nu ** 2:.12g}"]
     prob_path = outdir / "free_probability.csv"
     _write_csv(prob_path, ["t", "probability"],
                [args.t_grid, [dynamics.spectral_probability(pk)
                               for pk in packets]],
-               comments=[meta, f"limit={1.0 / args.nu ** 2:.12g}"])
+               comments=[meta, *limits])
     outputs.append(prob_path)
     _write_manifest(outdir, "free", _params(args), {"tol": args.tol},
                     outputs)
@@ -386,9 +390,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DenominatorSingularity as exc:
-        print(f"numerical failure: {exc}\n"
-              "hint: orders near 4/3 put a kernel root on the integration "
-              "ray; nudge --nu away from 4/3.", file=sys.stderr)
+        hint = ("orders below asin(0.05)/(pi/2) = 0.0318 put every ray root "
+                "within the guard margin of the cut; raise --nu above 0.0318"
+                if vars(args).get("nu", 2.0) <= 1.0 else
+                "orders near 4/3 put a kernel root on the integration ray; "
+                "nudge --nu away from 4/3")
+        print(f"numerical failure: {exc}\nhint: {hint}.", file=sys.stderr)
         return EXIT_NUMERICAL
     except TfseError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

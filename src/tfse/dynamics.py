@@ -1,10 +1,10 @@
 """Closed-form evolution for the time-fractional Schrodinger equation.
 
-Covers the free particle (spectral evolution plus inverse transform) and the
-infinite potential well (separable modes), together with every diagnostic
-built on top of them: total probability, probability current, the
-non-conservation source, weighted energy averages and time-dependent energy
-levels.
+Covers the free particle (spectral evolution plus inverse transform, and
+the grid's long-time probability) and the infinite potential well (one
+separable mode), with the mode's diagnostics: time-dependent energy levels
+and the two sides of the continuity equation, dP/dt and the integrated
+probability source, both from A(t) and dA/dt in closed form.
 
 Units are Planck-normalized throughout: T_p = L_p = hbar = 1, so the only
 physical inputs are the mass count N_m and the order nu.
@@ -15,7 +15,7 @@ inverse carries 1/(2 pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma
@@ -74,36 +74,6 @@ class SpectralPacket:
     @property
     def step(self) -> float:
         return float(self.wavenumbers[1] - self.wavenumbers[0])
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Complex wave function samples on a uniform spatial grid."""
-
-    positions: np.ndarray
-    values: np.ndarray
-    domain: str = "line"          # "line" or "box"
-    box_width: float | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "values", v)
-        if x.ndim != 1 or x.size < 3 or v.shape != x.shape:
-            raise ValueError("need matching 1-d position/value arrays")
-        if self.domain not in ("line", "box"):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == "box":
-            if not (self.box_width and self.box_width > 0):
-                raise ValueError("box domain needs a positive width")
-            scale = 1.0 + float(np.abs(v).max())
-            if abs(v[0]) > 1e-12 * scale or abs(v[-1]) > 1e-12 * scale:
-                raise ValueError("box field must vanish at both walls")
-
-    @property
-    def step(self) -> float:
-        return float(self.positions[1] - self.positions[0])
 
 
 @dataclass(frozen=True)
@@ -176,11 +146,18 @@ def free_spectrum_high_order(packet0: SpectralPacket, packet1: SpectralPacket,
     return SpectralPacket(packet0.wavenumbers, out)
 
 
-def default_positions(packet: SpectralPacket) -> np.ndarray:
-    """Spatial grid conjugate to the packet's wavenumber grid."""
-    n = packet.wavenumbers.size
-    half = math.pi / packet.step
-    return np.linspace(-half, half, n)
+def field_positions(packet: SpectralPacket,
+                    positions: np.ndarray | None = None) -> np.ndarray:
+    """The positions `free_field` samples: the spatial grid conjugate to
+    the packet's wavenumber grid by default, else `positions`, which must
+    be a 1-d grid of at least 3 points."""
+    if positions is None:
+        half = math.pi / packet.step
+        return np.linspace(-half, half, packet.wavenumbers.size)
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 1 or x.size < 3:
+        raise ValueError("need a 1-d position grid of at least 3 points")
+    return x
 
 
 def _inverse_transform(positions: np.ndarray, lam: np.ndarray,
@@ -207,26 +184,25 @@ def _inverse_transform(positions: np.ndarray, lam: np.ndarray,
 
 def free_field(packets: list[SpectralPacket],
                positions: np.ndarray | None = None
-               ) -> list[tuple[GridField, GridField, GridField]]:
+               ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
     """Inverse transform of each packet and of its two pieces separately.
 
     The packets (the snapshots of one run) share one wavenumber grid.  Every
     piece of every packet is stacked into one matrix and transformed in one
-    blocked pass over the positions (`_inverse_transform`), then scaled by
-    step/(2 pi).  Returns one (psi, psi_s, psi_d) per packet; the pieces add
-    up to psi nodewise.  For a packet without a stored split (an un-evolved
-    initial packet, or a two-initial-condition solution) only the whole
-    field is transformed: it is reported as the oscillatory piece, and the
-    decay piece is exactly zero.
+    blocked pass over `field_positions` (`_inverse_transform`), then scaled
+    by step/(2 pi).  Returns the positions and one (psi, psi_s, psi_d) of
+    value arrays per packet; the pieces add up to psi nodewise.  For a
+    packet without a stored split (an un-evolved initial packet, or a
+    two-initial-condition solution) only the whole field is transformed: it
+    is reported as the oscillatory piece, and the decay piece is exactly
+    zero.
     """
     if not packets:
-        return []
+        return np.empty(0), []
     lam = packets[0].wavenumbers
     if any(not np.array_equal(pk.wavenumbers, lam) for pk in packets):
         raise ValueError("packets must share a wavenumber grid")
-    if positions is None:
-        positions = default_positions(packets[0])
-    positions = np.asarray(positions, dtype=float)
+    positions = field_positions(packets[0], positions)
     split = [pk.amplitudes_s is not None and pk.amplitudes_d is not None
              for pk in packets]
     amps = np.stack([amp for pk, has in zip(packets, split) for amp in (
@@ -239,16 +215,28 @@ def free_field(packets: list[SpectralPacket],
     for has in split:
         psi_s = next(rows)
         psi_d = next(rows) if has else np.zeros_like(psi_s)
-        fields.append((GridField(positions, psi_s + psi_d),
-                       GridField(positions, psi_s),
-                       GridField(positions, psi_d)))
-    return fields
+        fields.append((psi_s + psi_d, psi_s, psi_d))
+    return positions, fields
 
 
 def spectral_probability(packet: SpectralPacket) -> float:
     """Total probability from Fourier space, via the Parseval identity."""
     return float(np.trapezoid(np.abs(packet.amplitudes) ** 2,
                               packet.wavenumbers) / (2.0 * math.pi))
+
+
+def spectral_probability_limit(packet0: SpectralPacket,
+                               cfg: RunConfig) -> float:
+    """Long-time limit of `spectral_probability` under sub-unit evolution.
+
+    Every node's |A|**2 tends to 1/nu**2, except a node at zero frequency,
+    which never evolves and keeps its weight; the continuum limit is
+    1/nu**2 itself.
+    """
+    gain = np.where(node_frequency(packet0.wavenumbers, cfg) == 0.0, 1.0,
+                    1.0 / cfg.nu.nu ** 2)
+    return float(np.trapezoid(np.abs(packet0.amplitudes) ** 2 * gain,
+                              packet0.wavenumbers) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -271,76 +259,6 @@ def well_amplitude(mode: WellMode, cfg: RunConfig, t: float | np.ndarray,
     """Modal amplitude A(t) with A(0) = 1 at each t, for orders in (0, 1]."""
     return specfun.ml_complex_decomposed(mode.lambda_n, Sign.MINUS_I, cfg.nu,
                                          t, tol).total
-
-
-def well_field(mode: WellMode, cfg: RunConfig, t: float,
-               n_points: int = 201,
-               tol: float = specfun.DEFAULT_TOL) -> GridField:
-    """Sampled psi_n(x, t) = A(t) * B_n(x) on [0, a]."""
-    x = np.linspace(0.0, mode.a, n_points)
-    values = well_amplitude(mode, cfg, t, tol) * well_shape(mode, x)
-    values[0] = 0.0
-    values[-1] = 0.0
-    return GridField(x, values, domain="box", box_width=mode.a)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def total_probability(field: GridField) -> float:
-    """Integral of |psi|**2 over the field's grid."""
-    return float(np.trapezoid(np.abs(field.values) ** 2, field.positions))
-
-
-def probability_current(field: GridField, weighted: GridField,
-                        cfg: RunConfig) -> GridField:
-    """Probability current built from the memory-weighted field.
-
-    J = (beta/i**nu) (d_x psi~) psi* + (beta/(-i)**nu) psi (d_x psi~*),
-    with centered spatial differences.
-    """
-    if field.values.shape != weighted.values.shape:
-        raise ValueError("fields must share a grid")
-    beta = cfg.beta
-    ip = cfg.nu.i_pow(Sign.PLUS_I)
-    im = cfg.nu.i_pow(Sign.MINUS_I)
-    dxw = np.gradient(weighted.values, field.step, edge_order=2)
-    j = beta / ip * dxw * np.conj(field.values) \
-        + beta / im * field.values * np.conj(dxw)
-    return GridField(field.positions, j)
-
-
-def source_term(field: GridField, weighted: GridField,
-                initial_caputo: GridField, cfg: RunConfig,
-                t: float) -> GridField:
-    """Probability source S(x, t) of the continuity equation.
-
-    Gradient cross terms plus the memory term carrying the initial Caputo
-    derivative; the memory term is singular at t = 0 and drops out entirely
-    at nu = 1, where the composition identity behind it no longer applies.
-    """
-    if t <= 0:
-        raise SingularTime("source is singular at t = 0")
-    nu = cfg.nu.nu
-    beta = cfg.beta
-    ip = cfg.nu.i_pow(Sign.PLUS_I)
-    im = cfg.nu.i_pow(Sign.MINUS_I)
-    dxw = np.gradient(weighted.values, field.step, edge_order=2)
-    dxf = np.gradient(field.values, field.step, edge_order=2)
-    s = beta / ip * dxw * np.conj(dxf) + beta / im * np.conj(dxw) * dxf
-    if nu < 1.0:
-        mem = (np.conj(field.values) * initial_caputo.values
-               + field.values * np.conj(initial_caputo.values))
-        s = s + mem / (t ** (1.0 - nu) * gamma(nu))
-    return GridField(field.positions, s)
-
-
-def energy_average(field: GridField, weighted: GridField) -> complex:
-    """Weighted time average of the energy: integral psi* psi~ dx."""
-    if field.values.shape != weighted.values.shape:
-        raise ValueError("fields must share a grid")
-    return complex(np.trapezoid(np.conj(field.values) * weighted.values,
-                                field.positions))
 
 
 def well_amplitude_rate(mode: WellMode, cfg: RunConfig, t: float | np.ndarray,
@@ -404,7 +322,6 @@ def energy_spacing_unit(a: float, cfg: RunConfig) -> float:
 # Continuity samples snap to this grid, t_k = round(t / step) * step: the
 # benchmark's reference (bench/checks.py) evaluates dP/dt at the same t_k.
 _CONTINUITY_STEP = 2.5e-3
-_CONTINUITY_POINTS = 201   # spatial nodes of the integrated source
 
 
 def well_continuity_series(mode: WellMode, cfg: RunConfig,
@@ -414,24 +331,23 @@ def well_continuity_series(mode: WellMode, cfg: RunConfig,
     """dP/dt and the integrated source S, the two sides of continuity.
 
     Each t is evaluated at t_k = round(t / 2.5e-3) * 2.5e-3, all of them in
-    one `well_amplitude_rate` call.  There dP/dt = 2 Re(conj(A) dA/dt), and the
-    memory-weighted field entering S is the closed form
-    (i**nu / lambda_n) dA/dt - t**(nu-1) / Gamma(nu) of
-    `well_memory_amplitude` (A itself at nu = 1) times the mode shape.
+    one `well_amplitude_rate` call.  There dP/dt = 2 Re(conj(A) dA/dt).  For
+    psi = A(t) B_n(x) the source integrates over the box in closed form,
+    since B_n**2 integrates to 1 and B_n'**2 to (n pi/a)**2:
+    lambda_n 2 Re(conj(A) Atilde / i**nu), plus the memory term
+    2 Re(conj(A) lambda_n / i**nu) / (t**(1-nu) Gamma(nu)) when nu < 1.
+    Atilde is the memory-weighted amplitude of `well_memory_amplitude`.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.min() <= 0:
-        raise SingularTime("continuity samples must be at positive times")
-    x = np.linspace(0.0, mode.a, _CONTINUITY_POINTS)
-    shape = well_shape(mode, x)
-    init_cap = GridField(x, mode.lambda_n / cfg.nu.i_pow(Sign.PLUS_I) * shape)
-
     t_k = np.round(sample_times / _CONTINUITY_STEP) * _CONTINUITY_STEP
+    if t_k.min() <= 0:
+        raise SingularTime("continuity samples must be at positive times")
+    nu = cfg.nu.nu
     a, da = well_amplitude_rate(mode, cfg, t_k, tol)
     tilde = well_memory_amplitude(mode, cfg, t_k, a, da)
-    int_s = np.empty_like(sample_times)
-    for j, t in enumerate(t_k.tolist()):
-        s = source_term(GridField(x, a[j] * shape),
-                        GridField(x, tilde[j] * shape), init_cap, cfg, t)
-        int_s[j] = np.trapezoid(s.values.real, x)
+    coef = mode.lambda_n / cfg.nu.i_pow(Sign.PLUS_I)
+    int_s = 2.0 * (np.conj(a) * coef * tilde).real
+    if nu < 1.0:
+        int_s += 2.0 * (np.conj(a) * coef).real \
+            / (t_k ** (1.0 - nu) * gamma(nu))
     return 2.0 * (np.conj(a) * da).real, int_s

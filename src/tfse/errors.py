@@ -19,12 +19,10 @@ class QuadratureFailure(TfseError):
 class DenominatorSingularity(TfseError):
     """A root of the kernel denominator sits too close to the integration ray.
 
-    On the rays sigma*(+-i)**nu only orders within about 0.014 of 4/3 raise it.
+    On the rays sigma*(+-i)**nu two windows of orders raise it: within about
+    0.014 of 4/3, and below asin(0.05)/(pi/2) = 0.0318, where the guard's
+    margin asin(0.05)/nu around the cut reaches the principal root.
     """
-
-
-class ContourClash(TfseError):
-    """The inversion pole lies within the safety margin of the contour."""
 
 
 class SingularTime(TfseError):

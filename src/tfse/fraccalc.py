@@ -1,4 +1,5 @@
-"""Caputo and Riemann-Liouville operators on uniformly sampled signals.
+"""Caputo derivatives and the Riemann-Liouville integral on uniformly
+sampled signals, with the residuals that judge sampled histories.
 
 Discretizations: product-trapezoidal convolution for the fractional integral
 and the L1 scheme (difference-quotient inner derivative, exact kernel panel
@@ -120,11 +121,6 @@ def caputo_l1_values(values: np.ndarray, h: float, nu: float) -> np.ndarray:
     return out * h ** (-nu) / gamma(2.0 - nu)
 
 
-def rl_integral(sig: SampledSignal, mu: float) -> SampledSignal:
-    """Riemann-Liouville fractional integral of order mu in (0, 1]."""
-    return SampledSignal(sig.times, rl_integral_values(sig.values, sig.step, mu))
-
-
 def caputo_derivative(sig: SampledSignal, order: FractionalOrder) -> SampledSignal:
     """Caputo derivative for orders in (0, 1) via the L1 scheme."""
     if order.regime is not Regime.SUB_UNIT or order.nu == 1.0:
@@ -150,18 +146,6 @@ def caputo_derivative_high(sig: SampledSignal,
         vals = np.gradient(fp, h, axis=0, edge_order=2)
     else:
         vals = caputo_l1_values(fp, h, mu)
-    return SampledSignal(sig.times, vals)
-
-
-def rl_derivative(sig: SampledSignal, order: FractionalOrder) -> SampledSignal:
-    """Riemann-Liouville derivative: d/dt of the order-(1-nu) integral.
-
-    Provided for the Caputo-vs-RL comparison; nonzero on constants.
-    """
-    if order.regime is not Regime.SUB_UNIT:
-        raise InvalidOrder("rl_derivative covers 0 < nu <= 1")
-    integ = rl_integral(sig, 1.0 - order.nu) if order.nu < 1.0 else sig
-    vals = np.gradient(integ.values, sig.step, axis=0, edge_order=2)
     return SampledSignal(sig.times, vals)
 
 

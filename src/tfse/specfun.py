@@ -45,7 +45,8 @@ SERIES_TERM_CAP = 200
 
 # `_poles` refuses a root of s**nu = rho within asin(AXIS_MARGIN)/min(nu, 1)
 # radians of the branch cut |arg s| = pi.  On the rays sigma*(+-i)**nu that
-# rejects orders in (1.3193, 1.3476), in `f_nu` and `ml_two_ic` alike.
+# rejects orders in (1.3193, 1.3476), in `f_nu` and `ml_two_ic` alike, and
+# every order below asin(AXIS_MARGIN)/(pi/2) = 0.0318.
 AXIS_MARGIN = 0.05
 
 # Sigmas within this relative distance share one branch-cut quadrature: the

@@ -119,14 +119,19 @@ class TestWell:
 
     def test_continuity_balances_fast_mode(self, tmp_path):
         # nu 0.3, n 3: omega**(1/nu) is about 1500, too fast for an L1
-        # memory field sampled at step 2.5e-3 to keep the balance.
-        code = cli.main(["well", "--nu", "0.3", "--n", "3", "--emit",
-                         "continuity", "--t-grid", "0.5:3:8",
-                         "--outdir", str(tmp_path)])
-        assert code == 0
-        _, rows = read_csv(tmp_path / "well_continuity.csv")
-        scale = np.abs(rows[:, 1]).max()
-        assert np.abs(rows[:, 1] - rows[:, 2]).max() <= 0.02 * scale
+        # memory field sampled at step 2.5e-3 to keep the balance.  nu 0.9,
+        # n 2, a 1: dP/dt is small against the source terms, where a
+        # 201-point grid source missed by 7.8e-2 of max|dP/dt|.
+        for nu, n, a in (("0.3", "3", "3.141592653589793"),
+                         ("0.9", "2", "1")):
+            out = tmp_path / f"{nu}-{n}"
+            code = cli.main(["well", "--nu", nu, "--n", n, "--a", a,
+                             "--emit", "continuity", "--t-grid", "0.5:3:8",
+                             "--outdir", str(out)])
+            assert code == 0
+            _, rows = read_csv(out / "well_continuity.csv")
+            scale = np.abs(rows[:, 1]).max()
+            assert np.abs(rows[:, 1] - rows[:, 2]).max() <= 1e-10 * scale
 
     def test_continuity_honours_tol(self, tmp_path, monkeypatch):
         seen = {}
@@ -178,6 +183,40 @@ class TestFree:
         _, rows = read_csv(tmp_path / "free_probability.csv")
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-7)
 
+    def test_probability_limits_of_the_grid(self, tmp_path):
+        # The node at lambda = 0 never evolves, so the grid's sum tends to
+        # its own weight plus 1/nu**2 times the rest, not to 1/nu**2.
+        code = cli.main(["free", "--nu", "0.8", "--t-grid", "1:2:2",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "free_probability.csv").read_text().splitlines()
+        lam = np.linspace(-8.0, 8.0, 161)
+        dens = np.abs(dynamics.gaussian_packet(lam).amplitudes) ** 2
+        gain = np.where(lam == 0.0, 1.0, 1.0 / 0.8 ** 2)
+        grid = np.trapezoid(dens * gain, lam) / (2.0 * np.pi)
+        assert grid == pytest.approx(1.530764, abs=1e-6)
+        assert lines[1] == f"# limit={grid:.12g}"
+        assert lines[2] == "# continuum_limit=1.5625"
+
+    def test_high_order_writes_no_limit(self, tmp_path):
+        code = cli.main(["free", "--nu", "1.5", "--high-order",
+                         "--packet1", "gaussian:0:1", "--t-grid", "0:1:2",
+                         "--lambda-grid=-4:4:21", "--outdir", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "free_probability.csv").read_text()
+        assert "limit=" not in text
+
+    def test_x_grid_checked_before_evolution(self, tmp_path, monkeypatch,
+                                             capsys):
+        calls = []
+        monkeypatch.setattr(dynamics, "free_spectrum_evolve",
+                            lambda *a, **k: calls.append(a))
+        code = cli.main(["free", "--nu", "0.5", "--x-grid", "0:1:1",
+                         "--t-grid", "1:2:3", "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     def test_near_critical_order_is_numerical_failure(self, tmp_path,
                                                       capsys):
         code = cli.main(["free", "--nu", "1.3334", "--high-order",
@@ -185,6 +224,15 @@ class TestFree:
                          "--outdir", str(tmp_path)])
         assert code == 3
         assert "4/3" in capsys.readouterr().err
+
+
+def test_small_order_hint_names_its_window(tmp_path, capsys):
+    # Below asin(0.05)/(pi/2) every ray root is within the guard's margin.
+    code = cli.main(["ml", "--nu", "0.03", "--sigma", "1", "--t-grid",
+                     "0.5:2:4", "--outdir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "0.0318" in err and "4/3" not in err
 
 
 class TestConfigAndVerify:

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfse import dynamics
+from tfse import dynamics, verify
 from tfse.errors import InvalidOrder, SingularTime
-from tfse.dynamics import GridField, RunConfig, SpectralPacket
+from tfse.dynamics import RunConfig, SpectralPacket
 from tfse.specfun import FractionalOrder
 
 
@@ -31,12 +31,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             SpectralPacket(lam, np.ones_like(lam, dtype=complex))
 
-    def test_box_field_rejects_wall_leak(self):
-        x = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            GridField(x, np.ones_like(x, dtype=complex), domain="box",
-                      box_width=1.0)
-
 
 class TestFreeParticle:
     def test_gaussian_packet_is_normalized(self):
@@ -57,8 +51,8 @@ class TestFreeParticle:
         out = dynamics.free_spectrum_evolve(packet, cfg_of(0.5), 1.5)
         assert np.allclose(out.amplitudes_s + out.amplitudes_d,
                            out.amplitudes)
-        [(psi, psi_s, psi_d)] = dynamics.free_field([out])
-        assert np.allclose(psi_s.values + psi_d.values, psi.values)
+        _, [(psi, psi_s, psi_d)] = dynamics.free_field([out])
+        assert np.allclose(psi_s + psi_d, psi)
 
     def test_oscillatory_piece_density_is_static(self):
         # An even node count avoids lambda = 0, where the degenerate
@@ -84,8 +78,18 @@ class TestFreeParticle:
     def test_field_at_zero_matches_initial(self):
         packet = unit_packet(count=81)
         out = dynamics.free_spectrum_evolve(packet, cfg_of(0.5), 0.0)
-        (psi0, _, _), (psi, _, _) = dynamics.free_field([packet, out])
-        assert np.allclose(psi.values, psi0.values, atol=1e-12)
+        _, [(psi0, _, _), (psi, _, _)] = dynamics.free_field([packet, out])
+        assert np.allclose(psi, psi0, atol=1e-12)
+
+    def test_probability_limit_keeps_zero_frequency_node(self):
+        packet = unit_packet(count=81)
+        cfg = cfg_of(0.5)
+        out = dynamics.free_spectrum_evolve(packet, cfg, 50.0)
+        assert out.amplitudes[40] == packet.amplitudes[40]
+        w0 = packet.step * abs(packet.amplitudes[40]) ** 2 / (2.0 * math.pi)
+        rest = dynamics.spectral_probability(packet) - w0
+        assert dynamics.spectral_probability_limit(packet, cfg) \
+            == pytest.approx(w0 + rest * 4.0, rel=1e-12)
 
     def test_high_order_reproduces_initial_state(self):
         packet = unit_packet(count=41)
@@ -138,25 +142,28 @@ class TestInverseTransform:
     def test_free_field_matches_dense(self):
         x = np.linspace(-39.0, 39.0, 2001)
         packets = self.packets()
-        for packet, fields in zip(packets, dynamics.free_field(packets, x)):
+        got_x, fields_of = dynamics.free_field(packets, x)
+        assert np.array_equal(got_x, x)
+        for packet, fields in zip(packets, fields_of):
             pieces = (packet.amplitudes, packet.amplitudes_s,
                       packet.amplitudes_d)
             if packet.amplitudes_s is None:
                 pieces = (packet.amplitudes, packet.amplitudes, None)
             for field, amp in zip(fields, pieces):
                 if amp is None:
-                    assert not np.any(field.values)
+                    assert not np.any(field)
                     continue
                 want = _dense(x, self.lam, amp, packet.step)
-                assert np.abs(field.values - want).max() \
+                assert np.abs(field - want).max() \
                     <= 4e-15 * np.abs(want).max()
 
     def test_unsplit_packet_has_exact_zero_decay(self):
-        [(psi, psi_s, psi_d)] = dynamics.free_field([unit_packet(count=41)])
-        assert not np.any(psi_d.values)
-        assert not np.any(np.signbit(psi_d.values.real))
-        assert not np.any(np.signbit(psi_d.values.imag))
-        assert np.array_equal(psi.values, psi_s.values)
+        _, [(psi, psi_s, psi_d)] = dynamics.free_field(
+            [unit_packet(count=41)])
+        assert not np.any(psi_d)
+        assert not np.any(np.signbit(psi_d.real))
+        assert not np.any(np.signbit(psi_d.imag))
+        assert np.array_equal(psi, psi_s)
 
     def test_transform_memory_is_blocked(self):
         lam = np.linspace(-8.0, 8.0, 401)
@@ -205,10 +212,21 @@ class TestWell:
         cfg = cfg_of(0.5)
         mode = dynamics.well_mode(1, math.pi, cfg)
         t = 2.0
-        field = dynamics.well_field(mode, cfg, t, n_points=801)
+        x = np.linspace(0.0, math.pi, 801)
         amp = dynamics.well_amplitude(mode, cfg, t)
-        assert dynamics.total_probability(field) == pytest.approx(
+        field = amp * dynamics.well_shape(mode, x)
+        assert np.trapezoid(np.abs(field) ** 2, x) == pytest.approx(
             abs(amp) ** 2, rel=1e-5)
+
+    @pytest.mark.parametrize("n, a", [(1, math.pi), (3, 2.0)])
+    def test_shape_gradient_integral(self, n, a):
+        # The closed-form continuity source rests on this and on the
+        # normalization: the integral of B_n'**2 is (n pi/a)**2.
+        mode = dynamics.well_mode(n, a, cfg_of(0.5))
+        x = np.linspace(0.0, a, 4001)
+        slope = np.gradient(dynamics.well_shape(mode, x), x, edge_order=2)
+        assert np.trapezoid(slope ** 2, x) == pytest.approx(
+            (n * math.pi / a) ** 2, rel=1e-5)
 
     def test_long_time_limit(self):
         cfg = cfg_of(0.5)
@@ -218,39 +236,22 @@ class TestWell:
 
 
 class TestDiagnostics:
-    def test_current_vanishes_for_real_static_field(self):
-        x = np.linspace(-1.0, 1.0, 101)
-        f = GridField(x, np.exp(-x ** 2).astype(complex))
-        j = dynamics.probability_current(f, f, cfg_of(1.0))
-        assert np.abs(j.values.imag).max() < 1e-12
-        # real symmetric field at nu=1: J = 2 beta Im(psi* dx psi) = 0
-        assert np.abs(j.values.real).max() < 1e-12
-
+    # The sampled source lives with the checks (`verify._grid_source`).
     def test_source_zero_at_unit_order(self):
         cfg = cfg_of(1.0)
         mode = dynamics.well_mode(1, math.pi, cfg)
         t = 1.0
         x = np.linspace(0.0, math.pi, 201)
         shape = dynamics.well_shape(mode, x)
-        amp = dynamics.well_amplitude(mode, cfg, t)
-        f = GridField(x, amp * shape)
-        init_cap = GridField(x, np.zeros_like(x, dtype=complex))
-        s = dynamics.source_term(f, f, init_cap, cfg, t)
-        total = np.trapezoid(s.values.real, x)
-        assert abs(total) < 1e-10
+        f = dynamics.well_amplitude(mode, cfg, t) * shape
+        s = verify._grid_source(x, f, f, np.zeros_like(f), cfg, t)
+        assert abs(np.trapezoid(s, x)) < 1e-10
 
     def test_source_singular_time(self):
         x = np.linspace(0.0, 1.0, 11)
-        f = GridField(x, np.zeros_like(x, dtype=complex))
+        f = np.zeros_like(x, dtype=complex)
         with pytest.raises(SingularTime):
-            dynamics.source_term(f, f, f, cfg_of(0.5), 0.0)
-
-    def test_energy_average_is_norm_at_unit_order(self):
-        x = np.linspace(0.0, math.pi, 801)
-        mode = dynamics.well_mode(1, math.pi, cfg_of(1.0))
-        f = GridField(x, dynamics.well_shape(mode, x).astype(complex))
-        assert dynamics.energy_average(f, f).real == pytest.approx(
-            1.0, abs=1e-5)
+            verify._grid_source(x, f, f, f, cfg_of(0.5), 0.0)
 
     def test_energy_level_unit_order_constant(self):
         cfg = cfg_of(1.0)
@@ -308,3 +309,25 @@ class TestContinuity:
                                                       np.array([0.5, 2.0]))
         assert np.abs(dpdt).max() < 1e-10
         assert np.abs(int_s).max() < 1e-10
+
+    def test_rejects_sample_that_snaps_to_zero(self):
+        # 1e-3 snaps to t_k = 0, where the source is singular at every order.
+        for nu in (0.5, 1.0):
+            cfg = cfg_of(nu)
+            mode = dynamics.well_mode(1, math.pi, cfg)
+            with pytest.raises(SingularTime):
+                dynamics.well_continuity_series(mode, cfg, np.array([1e-3]))
+
+    @pytest.mark.parametrize("a", [1.0, math.pi])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [0.3, 0.6, 0.9, 1.0])
+    def test_closed_form_source_matches_dpdt(self, nu, n, a):
+        # Atilde comes from the recast equation, so the exact integrals of
+        # the mode leave the source equal to dP/dt up to rounding.  At
+        # nu = 1 dP/dt is 0, and the source terms are of size lambda_n.
+        cfg = cfg_of(nu)
+        mode = dynamics.well_mode(n, a, cfg)
+        dpdt, int_s = dynamics.well_continuity_series(
+            mode, cfg, np.linspace(0.5, 3.0, 6))
+        scale = float(np.abs(dpdt).max()) + mode.lambda_n
+        assert np.abs(dpdt - int_s).max() <= 1e-12 * scale

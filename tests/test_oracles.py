@@ -8,8 +8,7 @@ import pytest
 from scipy.special import erfc as scipy_erfc
 
 from tfse import oracles
-from tfse.errors import ContourClash
-from tfse.oracles import InversionSpec, erfc_closed_form
+from tfse.oracles import erfc_closed_form
 from tfse.specfun import FractionalOrder, Sign, ml_complex_decomposed
 
 
@@ -52,15 +51,13 @@ class TestErfcOracle:
 
 class TestLaplaceInversion:
     def test_unit_order(self):
-        spec = InversionSpec(1.0, FractionalOrder(1.0))
-        got = oracles.laplace_invert_ml(spec, 1.0)
+        got = oracles.laplace_invert_ml(1.0, FractionalOrder(1.0), 1.0)
         assert got == pytest.approx(np.exp(1j), abs=1e-7)
 
     def test_initial_condition_recovered(self):
         # A(t) = 1 + rho sqrt(t)/Gamma(1.5) + O(t) just after the start.
-        spec = InversionSpec(1.0, FractionalOrder(0.5))
         t = 1e-4
-        got = oracles.laplace_invert_ml(spec, t)
+        got = oracles.laplace_invert_ml(1.0, FractionalOrder(0.5), t)
         rho = np.exp(1j * math.pi / 4)
         lead = 1.0 + rho * math.sqrt(t) / math.gamma(1.5)
         assert got == pytest.approx(lead, abs=2e-4)
@@ -69,29 +66,25 @@ class TestLaplaceInversion:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_agrees_with_decomposition(self, nu, sigma):
         order = FractionalOrder(nu)
-        spec = InversionSpec(sigma, order)
         for t in np.linspace(0.3, 4.0, 10):
-            ora = oracles.laplace_invert_ml(spec, float(t))
+            ora = oracles.laplace_invert_ml(sigma, order, float(t))
             dec = ml_complex_decomposed(sigma, Sign.PLUS_I, order, float(t))
             assert abs(ora - dec.total) < 1e-6
 
     def test_branch_cut_term_matches_decay(self):
+        # The inversion minus its residue is the branch-cut part: -decay.
         order = FractionalOrder(0.5)
-        spec = InversionSpec(1.0, order)
         t = 1.5
-        cut = oracles.branch_cut_term(spec, t)
+        cut = oracles.laplace_invert_ml(1.0, order, t) \
+            - oracles.residue_term(1.0, order, t)
         dec = ml_complex_decomposed(1.0, Sign.PLUS_I, order, t)
         assert abs(cut + dec.decay) < 1e-5
 
-    def test_contour_clash_detection(self):
-        # Widening the apex sweeps the parabola through the pole.
-        spec = InversionSpec(1.0, FractionalOrder(0.5), scale=1.25)
-        with pytest.raises(ContourClash):
-            oracles.laplace_invert_ml(spec, 1.0)
-
-    def test_rejects_small_node_count(self):
+    @pytest.mark.parametrize("sigma, t", [(0.0, 1.0), (-1.0, 1.0),
+                                          (1.0, 0.0)])
+    def test_rejects_nonpositive_sigma_or_time(self, sigma, t):
         with pytest.raises(ValueError):
-            InversionSpec(1.0, FractionalOrder(0.5), n_nodes=8)
+            oracles.laplace_invert_ml(sigma, FractionalOrder(0.5), t)
 
 
 class TestSeriesReference:
